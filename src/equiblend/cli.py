@@ -14,8 +14,9 @@ from pathlib import Path
 from .harness import (
     OPERATORS,
     REGISTRY,
-    SCHEME_KINDS,
+    SCHEMES,
     ConfigError,
+    Scenario,
     load_scenario_file,
     render_csv,
     render_json,
@@ -25,16 +26,11 @@ from .harness import (
 )
 
 
-def _parse_schedule(text: str) -> tuple:
+def _parse_schedule(text: str) -> list:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad schedule {text!r}: {exc}") from exc
-    if not values or any(n < 1 for n in values):
-        raise ConfigError("schedule entries must be positive integers")
-    if any(a >= b for a, b in zip(values, values[1:])):
-        raise ConfigError("schedule must be strictly increasing")
-    return values
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -46,14 +42,16 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_run(args) -> int:
     scenario = load_scenario_file(args.scenario)
+    overrides = {}
     if args.eps is not None:
-        if not args.eps >= 0.0:
-            raise ConfigError("--eps must be nonnegative")
-        scenario.eps = float(args.eps)
+        overrides["eps"] = args.eps
     if args.schedule is not None:
-        scenario.schedule = _parse_schedule(args.schedule)
+        overrides["schedule"] = _parse_schedule(args.schedule)
     if args.seed is not None:
-        scenario.rng_seed = int(args.seed)
+        overrides["rng_seed"] = args.seed
+    if overrides:
+        # re-parse so overrides pass the same checks as scenario files
+        scenario = Scenario.from_dict({**scenario.echo(), **overrides})
     report = run_scenario(scenario)
     if args.format == "csv":
         _emit(render_csv([report]), args.out)
@@ -85,9 +83,8 @@ def _cmd_list(args) -> int:
     for name in OPERATORS:
         lines.append(f"  {name}")
     lines.append("schemes:")
-    for name in SCHEME_KINDS:
-        if name != "none":
-            lines.append(f"  {name}")
+    for name in SCHEMES:
+        lines.append(f"  {name}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 

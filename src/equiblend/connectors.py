@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 Point = "float | np.ndarray"
 Key = tuple
@@ -54,7 +53,6 @@ class ConnectorSpace:
     contains: Callable[[Point], bool]
     connect: Callable[[Point, Point, float], Point]
     metric: Callable[[Point, Point], float]
-    locally_convex_declared: bool = True
     name: str = ""
 
 
@@ -99,7 +97,6 @@ def affine_space(lo, hi, dim: int | None = None, name: str = "") -> ConnectorSpa
         contains=contains,
         connect=_with_endpoint_identities(raw),
         metric=_norm_metric,
-        locally_convex_declared=True,
         name=name or f"affine[{lo},{hi}]^{d}",
     )
 
@@ -120,7 +117,6 @@ def affine_line(dim: int = 1, name: str = "") -> ConnectorSpace:
         contains=contains,
         connect=_with_endpoint_identities(raw),
         metric=_norm_metric,
-        locally_convex_declared=True,
         name=name or f"affine_line^{d}",
     )
 
@@ -156,7 +152,6 @@ def warped_line(name: str = "warped_line") -> ConnectorSpace:
         contains=contains,
         connect=_with_endpoint_identities(raw),
         metric=lambda a, b: abs(float(a) - float(b)),
-        locally_convex_declared=True,
         name=name,
     )
 
@@ -362,6 +357,9 @@ def iterated_hull_contains(
     a positive with a witness when some combination comes within ``tol`` of
     the probe; a negative is only evidence of absence.
     """
+    # imported here so that importing the package does not load scipy
+    from scipy.optimize import minimize
+
     seeds = list(seed_points)
     if not seeds or n < 1:
         raise ValueError("need at least one seed point and n >= 1")

@@ -560,7 +560,7 @@ def example2_function(n_terms_cap: int = 64) -> SectionedFunction:
     def regularity(x):
         return dirichlet_tower() if x.is_zero else None
 
-    return SectionedFunction(eval=f, anchor_regularity=regularity, x_continuity_declared=True)
+    return SectionedFunction(eval=f, anchor_regularity=regularity)
 
 
 def slice_modulus(y, deltas: Sequence[float], samples: int = 41, n_terms_cap: int = 256) -> tuple:
@@ -643,7 +643,7 @@ def example1_function() -> SectionedFunction:
             )
         return BaireTower(depth=0, limit_eval=lambda y: _tent_sum(p.n, p.m, as_float(y)))
 
-    return SectionedFunction(eval=example1_eval, anchor_regularity=regularity, x_continuity_declared=True)
+    return SectionedFunction(eval=example1_eval, anchor_regularity=regularity)
 
 
 def sequential_convergence_probe(target: SequentialPoint, seq: Sequence[SequentialPoint]) -> bool:

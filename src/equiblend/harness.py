@@ -4,9 +4,10 @@ byte-stable reports.
 A scenario names a registered two-variable function, an approximation
 operator, an anchor scheme, and a list of (x, y) probes; the runner evaluates
 the operator's level terms along a schedule and applies the tail criterion
-against the function's own value at each probe.  Reports serialize with a
-fixed float format and fixed key order, so identical runs produce identical
-bytes.
+against the function's own value at each probe.  One table per concept
+(``OPERATORS``, ``SCHEMES``, ``Z_SPACES``) drives parsing, running and
+listing.  Reports serialize through ``json`` with shortest round-trip floats
+and fixed key order, so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class ConfigError(ValueError):
 
 
 SCENARIO_KEYS = ("name", "x_space", "z_space", "function", "scheme", "operator", "probes", "schedule", "eps", "rng_seed")
-OPERATORS = ("lambda_blend", "piecewise_anchor", "ambiguous_limit", "tower_tail")
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 DEFAULT_EPS = 1e-3
 
@@ -96,7 +96,7 @@ def _head_sequence_function() -> SectionedFunction:
     def regularity(x):
         return dirichlet_tower() if float(x) == 0.0 else None
 
-    return SectionedFunction(eval=f, anchor_regularity=regularity, x_continuity_declared=True)
+    return SectionedFunction(eval=f, anchor_regularity=regularity)
 
 
 REGISTRY = {
@@ -110,8 +110,34 @@ REGISTRY = {
     "half_line_split": FunctionSpec("ambiguous", half_line_instance, "two-cell glued limit on the line"),
 }
 
-SCHEME_KINDS = ("grid", "sorgenfrey", "none")
-Z_KINDS = ("line", "affine", "warped")
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    required: tuple  # config keys the kind needs
+    build: Callable  # (config, n_max) -> AnchoredScheme
+    x_space: Callable  # config -> default x_space config
+
+
+# Entries call the constructors as module globals at call time, so a wrapper
+# installed on this module sees every call.
+SCHEMES = {
+    "grid": SchemeSpec(
+        ("dim", "lo", "hi"),
+        lambda cfg, n_max: grid_scheme(int(cfg["dim"]), (cfg["lo"], cfg["hi"]), n_max=n_max),
+        lambda cfg: {"kind": "box", "dim": int(cfg.get("dim", 1)), "lo": cfg["lo"], "hi": cfg["hi"]},
+    ),
+    "sorgenfrey": SchemeSpec(
+        (),
+        lambda cfg, n_max: sorgenfrey_scheme(n_max=n_max, domain=tuple(cfg.get("domain", (0.0, 1.0)))),
+        lambda cfg: {"kind": "half_open_line", "domain": list(cfg.get("domain", (0.0, 1.0)))},
+    ),
+}
+
+Z_SPACES = {
+    "line": lambda cfg: affine_line(int(cfg.get("dim", 1))),
+    "affine": lambda cfg: affine_space(cfg.get("lo", 0.0), cfg.get("hi", 1.0), int(cfg.get("dim", 1))),
+    "warped": lambda cfg: warped_line(),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +221,8 @@ def _check_x_space(cfg: dict, x, index: int) -> None:
 def _default_x_space(scheme_cfg: dict, fn_kind: str) -> dict:
     if fn_kind == "sequential":
         return {"kind": "sequential_fan"}
-    if scheme_cfg["kind"] == "grid":
-        return {"kind": "box", "dim": int(scheme_cfg.get("dim", 1)), "lo": scheme_cfg["lo"], "hi": scheme_cfg["hi"]}
-    if scheme_cfg["kind"] == "sorgenfrey":
-        return {"kind": "half_open_line", "domain": list(scheme_cfg.get("domain", (0.0, 1.0)))}
+    if scheme_cfg["kind"] in SCHEMES:
+        return SCHEMES[scheme_cfg["kind"]].x_space(scheme_cfg)
     return {"kind": "real_line"}
 
 
@@ -240,28 +264,24 @@ class Scenario:
         name = data["name"]
         _require(isinstance(name, str) and name, "scenario name must be a nonempty string")
         fn_name = data["function"]
-        _require(fn_name in REGISTRY, f"unknown function {fn_name!r}; see the list command")
+        _require(isinstance(fn_name, str) and fn_name in REGISTRY, f"unknown function {fn_name!r}; see the list command")
         operator = data["operator"]
-        _require(operator in OPERATORS, f"unknown operator {operator!r}")
+        _require(isinstance(operator, str) and operator in OPERATORS, f"unknown operator {operator!r}")
         spec = REGISTRY[fn_name]
+        op = OPERATORS[operator]
+        _require(spec.kind in op.kinds, f"{operator} takes {' or '.join(op.kinds)} functions, not {fn_name!r} ({spec.kind})")
 
         scheme_cfg = data.get("scheme", {"kind": "none"})
-        _require(isinstance(scheme_cfg, dict) and scheme_cfg.get("kind") in SCHEME_KINDS, f"bad scheme {scheme_cfg!r}")
-        if operator in ("lambda_blend", "piecewise_anchor"):
-            _require(scheme_cfg["kind"] != "none", f"{operator} needs a grid or sorgenfrey scheme")
-            _require(spec.kind == "pointwise", f"{operator} needs a pointwise function")
-        elif operator == "ambiguous_limit":
-            _require(spec.kind == "ambiguous", f"{operator} needs an ambiguous-cell instance")
+        _require(isinstance(scheme_cfg, dict) and scheme_cfg.get("kind") in (*SCHEMES, "none"), f"bad scheme {scheme_cfg!r}")
+        if op.needs_scheme:
+            _require(scheme_cfg["kind"] in SCHEMES, f"{operator} needs a {' or '.join(SCHEMES)} scheme")
+            for key in SCHEMES[scheme_cfg["kind"]].required:
+                _require(key in scheme_cfg, f"{scheme_cfg['kind']} scheme needs {key!r}")
+        else:
             _require(scheme_cfg["kind"] == "none", f"{operator} does not take a scheme")
-        else:  # tower_tail
-            _require(spec.kind != "ambiguous", f"{operator} needs a function with anchor towers")
-            _require(scheme_cfg["kind"] == "none", f"{operator} does not take a scheme")
-        if scheme_cfg["kind"] == "grid":
-            for key in ("dim", "lo", "hi"):
-                _require(key in scheme_cfg, f"grid scheme needs {key!r}")
 
         z_cfg = data.get("z_space", {"kind": "line", "dim": 1})
-        _require(isinstance(z_cfg, dict) and z_cfg.get("kind") in Z_KINDS, f"bad z_space {z_cfg!r}")
+        _require(isinstance(z_cfg, dict) and isinstance(z_cfg.get("kind"), str) and z_cfg["kind"] in Z_SPACES, f"bad z_space {z_cfg!r}")
 
         schedule_raw = data.get("schedule", list(DEFAULT_SCHEDULE))
         _require(
@@ -318,21 +338,6 @@ def load_scenario_file(path) -> Scenario:
 # running
 
 
-def _build_scheme(cfg: dict, n_max: int):
-    if cfg["kind"] == "grid":
-        return grid_scheme(int(cfg["dim"]), (cfg["lo"], cfg["hi"]), n_max=n_max)
-    domain = tuple(cfg.get("domain", (0.0, 1.0)))
-    return sorgenfrey_scheme(n_max=n_max, domain=domain)
-
-
-def _build_z_space(cfg: dict):
-    if cfg["kind"] == "line":
-        return affine_line(int(cfg.get("dim", 1)))
-    if cfg["kind"] == "affine":
-        return affine_space(cfg.get("lo", 0.0), cfg.get("hi", 1.0), int(cfg.get("dim", 1)))
-    return warped_line()
-
-
 @dataclass(frozen=True)
 class ProbeRecord:
     x: object  # raw probe specs, echoed
@@ -351,8 +356,40 @@ class ScenarioReport:
     summary: dict
 
 
+def _level_terms(scenario: Scenario, term_at) -> list:
+    """Per probe, the level terms term_at(n)(x, y) along the schedule."""
+    per_probe = [[] for _ in scenario.probes]
+    for n in scenario.schedule:
+        term = term_at(n)
+        for slot, (x, y) in zip(per_probe, scenario.probes):
+            slot.append(term(x, y))
+    return per_probe
+
+
+def _run_blend(scenario: Scenario):
+    scheme = SCHEMES[scenario.scheme_cfg["kind"]].build(scenario.scheme_cfg, max(scenario.schedule))
+    z_space = Z_SPACES[scenario.z_cfg["kind"]](scenario.z_cfg)
+    sf = REGISTRY[scenario.fn_name].make()
+    terms = _level_terms(scenario, lambda n: lambda_blend(sf, scheme, z_space, n))
+    return terms, [sf.eval(x, y) for x, y in scenario.probes]
+
+
+def _run_anchor(scenario: Scenario):
+    scheme = SCHEMES[scenario.scheme_cfg["kind"]].build(scenario.scheme_cfg, max(scenario.schedule))
+    sf = REGISTRY[scenario.fn_name].make()
+    terms = _level_terms(scenario, lambda n: piecewise_anchor(sf, anchored_cells(scheme, n), scheme.anchor, n))
+    return terms, [sf.eval(x, y) for x, y in scenario.probes]
+
+
+def _run_ambiguous(scenario: Scenario):
+    instance = REGISTRY[scenario.fn_name].make()
+    target = instance.target()
+    terms = _level_terms(scenario, instance.term)
+    return terms, [target(x, y) for x, y in scenario.probes]
+
+
 def _tower_terms(sf: SectionedFunction, x, y, schedule) -> tuple:
-    tower = sf.tower_at(x) if sf.anchor_regularity is not None else None
+    tower = sf.tower_at(x)
     if tower is None:
         raise ConfigError(f"no anchor tower at {x!r}")
     if tower.depth == 0:
@@ -362,41 +399,29 @@ def _tower_terms(sf: SectionedFunction, x, y, schedule) -> tuple:
     return terms, tower.limit_eval(y)
 
 
+def _run_towers(scenario: Scenario):
+    sf = REGISTRY[scenario.fn_name].make()
+    pairs = [_tower_terms(sf, x, y, scenario.schedule) for x, y in scenario.probes]
+    return [terms for terms, _ in pairs], [target for _, target in pairs]
+
+
+@dataclass(frozen=True)
+class OperatorSpec:
+    kinds: tuple  # function kinds the operator accepts
+    needs_scheme: bool
+    run: Callable  # scenario -> (per-probe level terms, per-probe targets)
+
+
+OPERATORS = {
+    "lambda_blend": OperatorSpec(("pointwise",), True, _run_blend),
+    "piecewise_anchor": OperatorSpec(("pointwise",), True, _run_anchor),
+    "ambiguous_limit": OperatorSpec(("ambiguous",), False, _run_ambiguous),
+    "tower_tail": OperatorSpec(("pointwise", "sequential"), False, _run_towers),
+}
+
+
 def run_scenario(scenario: Scenario) -> ScenarioReport:
-    spec = REGISTRY[scenario.fn_name]
-    schedule = scenario.schedule
-    per_probe = [[] for _ in scenario.probes]
-    targets: list
-
-    if scenario.operator in ("lambda_blend", "piecewise_anchor"):
-        scheme = _build_scheme(scenario.scheme_cfg, n_max=max(schedule))
-        z_space = _build_z_space(scenario.z_cfg)
-        sf = spec.make()
-        for n in schedule:
-            if scenario.operator == "lambda_blend":
-                term = lambda_blend(sf, scheme, z_space, n)
-            else:
-                cells, anchor_of, _ = anchored_cells(scheme, n)
-                term = piecewise_anchor(sf, cells, anchor_of, n)
-            for slot, (x, y) in zip(per_probe, scenario.probes):
-                slot.append(term(x, y))
-        targets = [sf.eval(x, y) for x, y in scenario.probes]
-    elif scenario.operator == "ambiguous_limit":
-        instance = spec.make()
-        target_fn = instance.target()
-        for n in schedule:
-            term = instance.term(n)
-            for slot, (x, y) in zip(per_probe, scenario.probes):
-                slot.append(term(x, y))
-        targets = [target_fn(x, y) for x, y in scenario.probes]
-    else:  # tower_tail
-        sf = spec.make()
-        targets = []
-        for slot, (x, y) in zip(per_probe, scenario.probes):
-            terms, target = _tower_terms(sf, x, y, schedule)
-            slot.extend(terms)
-            targets.append(target)
-
+    per_probe, targets = OPERATORS[scenario.operator].run(scenario)
     records = []
     for raw, terms, target in zip(scenario.probes_raw, per_probe, targets):
         passed, gaps, final_gap = tail_check(terms, target, scenario.eps, TAIL_K)
@@ -457,80 +482,15 @@ def suite_data(reports: Sequence[ScenarioReport]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# deterministic rendering
-
-
-def _fmt_float(v: float) -> str:
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite value {v!r} in a report")
-    return "%.17g" % v
-
-
-def _render(obj, out: list, indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for pos, (key, value) in enumerate(items):
-            out.append("  " * (indent + 1))
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _render(value, out, indent + 1)
-            out.append(",\n" if pos < len(items) - 1 else "\n")
-        out.append(pad)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        values = list(obj)
-        if not values:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for pos, value in enumerate(values):
-            out.append("  " * (indent + 1))
-            _render(value, out, indent + 1)
-            out.append(",\n" if pos < len(values) - 1 else "\n")
-        out.append(pad)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, np.ndarray):
-        _render([float(v) for v in np.atleast_1d(obj)], out, indent)
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__} in a report")
+# rendering
 
 
 def render_json(data: dict) -> str:
-    out: list = []
-    _render(data, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(data, indent=2, allow_nan=False) + "\n"
 
 
-def _compact(obj) -> str:
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_compact(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_compact(v) for v in obj) + "]"
-    raise TypeError(f"cannot render {type(obj).__name__} in a report cell")
+def _cell(value) -> str:
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
 def render_csv(reports: Sequence[ScenarioReport]) -> str:
@@ -540,18 +500,7 @@ def render_csv(reports: Sequence[ScenarioReport]) -> str:
     for report in reports:
         name = report.scenario["name"]
         for index, r in enumerate(report.records):
-            writer.writerow(
-                [
-                    name,
-                    index,
-                    _compact(r.x),
-                    _compact(r.y),
-                    _fmt_float(r.target),
-                    "true" if r.passed else "false",
-                    _fmt_float(r.final_gap),
-                    _fmt_float(r.terms[-1]),
-                ]
-            )
+            writer.writerow([name, index, *(_cell(v) for v in (r.x, r.y, r.target, r.passed, r.final_gap, r.terms[-1]))])
     return buffer.getvalue()
 
 

@@ -9,7 +9,7 @@ a level schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,8 +30,6 @@ class PartitionViolationError(ValueError):
 class DiscretenessError(ValueError):
     pass
 
-
-APPROXIMANT_KINDS = ("lambda_blend", "piecewise_anchor", "contractible_glue", "ambiguous_limit")
 
 TAIL_K = 3
 
@@ -105,11 +103,10 @@ class SectionedFunction:
     eval: Callable
     x_section: Callable | None = None
     anchor_regularity: Callable | None = None
-    x_continuity_declared: bool = True
 
     @classmethod
-    def from_callable(cls, f, x_continuity_declared: bool = True) -> "SectionedFunction":
-        return cls(eval=f, x_continuity_declared=x_continuity_declared)
+    def from_callable(cls, f) -> "SectionedFunction":
+        return cls(eval=f)
 
     def section(self, x):
         if self.x_section is not None:
@@ -146,18 +143,11 @@ def lambda_blend(f: SectionedFunction, scheme: AnchoredScheme, z_space: Connecto
     return term
 
 
-def anchored_cells(scheme: AnchoredScheme, n: int):
-    """Disjointified cells of a scheme level's supports, in key order, with
-    the scheme anchors as cell anchors."""
+def anchored_cells(scheme: AnchoredScheme, n: int) -> CoverCellPartition:
+    """Disjointified cells of a scheme level's supports, in key order; cell
+    keys are scheme keys, so ``scheme.anchor`` gives the cell anchors."""
     family = scheme.family(n)
-    cover = [(key, family.support_of(key).contains) for key in family.index_keys]
-    cells = disjointify(cover)
-
-    def anchor_of(level: int, key):
-        return scheme.anchor(level, key)
-
-    metadata = {"scheme_key_of_cell": {key: key for key in family.index_keys}}
-    return cells, anchor_of, metadata
+    return disjointify([(key, family.support_of(key).contains) for key in family.index_keys])
 
 
 def piecewise_anchor(f: SectionedFunction, cells, anchor_of_cell, n: int):
@@ -254,41 +244,3 @@ def ambiguous_target(cells: Sequence[AmbiguousCell], n_cap: int = 1024):
         raise PartitionViolationError(f"point {x!r} escapes every cell core up to n_cap={n_cap}")
 
     return target
-
-
-@dataclass(frozen=True)
-class ApproximantSequence:
-    """A level-indexed family of two-variable maps with a kind tag."""
-
-    term: Callable[[int], Callable]
-    kind: str
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in APPROXIMANT_KINDS:
-            raise ValueError(f"unknown approximant kind {self.kind!r}")
-
-
-def blend_sequence(f: SectionedFunction, scheme: AnchoredScheme, z_space: ConnectorSpace) -> ApproximantSequence:
-    return ApproximantSequence(
-        term=lambda n: lambda_blend(f, scheme, z_space, n),
-        kind="lambda_blend",
-        metadata={"scheme": scheme.describe()},
-    )
-
-
-def anchored_sequence(f: SectionedFunction, scheme: AnchoredScheme) -> ApproximantSequence:
-    def term(n):
-        cells, anchor_of, _ = anchored_cells(scheme, n)
-        return piecewise_anchor(f, cells, anchor_of, n)
-
-    return ApproximantSequence(term=term, kind="piecewise_anchor", metadata={"scheme": scheme.describe()})
-
-
-def ambiguous_sequence(c: Contraction, cells: Sequence[AmbiguousCell]) -> ApproximantSequence:
-    cells = tuple(cells)
-    return ApproximantSequence(
-        term=lambda n: ambiguous_limit(c, cells, n),
-        kind="ambiguous_limit",
-        metadata={"cells": [cell.key for cell in cells]},
-    )

@@ -116,10 +116,6 @@ class BumpFamily:
     def partition_sum(self, x) -> float:
         return float(sum(v for _, v in self.weights_at(x)))
 
-    def keys_meeting(self, region: SupportBox) -> list:
-        """Keys whose supports intersect the region (finiteness witness)."""
-        return [k for k in self.index_keys if self.support_of(k).meets(region)]
-
 
 @dataclass(frozen=True)
 class DenseSet:

@@ -13,6 +13,9 @@ from equiblend.harness import (
     ConfigError,
     DEFAULT_EPS,
     DEFAULT_SCHEDULE,
+    OPERATORS,
+    REGISTRY,
+    SCHEMES,
     Scenario,
     load_scenario_file,
     render_csv,
@@ -76,6 +79,15 @@ def test_unknown_function_rejected():
         Scenario.from_dict(_minimal_dict(function="not_a_function"))
 
 
+@pytest.mark.parametrize(
+    "override",
+    [{"function": ["constant"]}, {"operator": ["lambda_blend"]}, {"z_space": {"kind": ["line"]}}],
+)
+def test_unhashable_names_are_config_errors(override):
+    with pytest.raises(ConfigError):
+        Scenario.from_dict(_minimal_dict(**override))
+
+
 def test_blend_requires_a_scheme():
     d = _minimal_dict()
     del d["scheme"]
@@ -94,6 +106,45 @@ def test_ambiguous_operator_rejects_scheme():
     del d["scheme"]
     sc = Scenario.from_dict(d)
     assert sc.fn_name == "half_line_split"
+
+
+# the parse rules the operator table must keep: (operator, function kind, has scheme)
+ACCEPTED_COMBINATIONS = {
+    ("lambda_blend", "pointwise", True),
+    ("piecewise_anchor", "pointwise", True),
+    ("ambiguous_limit", "ambiguous", False),
+    ("tower_tail", "pointwise", False),
+    ("tower_tail", "sequential", False),
+}
+FUNCTION_OF_KIND = {
+    "pointwise": ("example2", 0.0),
+    "sequential": ("example1", {"sequential": ["origin"]}),
+    "ambiguous": ("half_line_split", 0.0),
+}
+SCHEME_CONFIGS = {
+    "grid": {"kind": "grid", "dim": 1, "lo": -1.0, "hi": 1.0},
+    "sorgenfrey": {"kind": "sorgenfrey", "domain": [0.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize("scheme", [*SCHEMES, None])
+@pytest.mark.parametrize("kind", sorted(FUNCTION_OF_KIND))
+@pytest.mark.parametrize("operator", list(OPERATORS))
+def test_operator_table_decides_what_parses(operator, kind, scheme):
+    assert set(FUNCTION_OF_KIND) == {spec.kind for spec in REGISTRY.values()}
+    fn_name, x = FUNCTION_OF_KIND[kind]
+    d = {"name": "combo", "function": fn_name, "operator": operator, "probes": [{"x": x, "y": 0.5}], "schedule": [1, 2]}
+    if scheme is not None:
+        d["scheme"] = SCHEME_CONFIGS[scheme]
+    op = OPERATORS[operator]
+    allowed = kind in op.kinds and (scheme is not None) == op.needs_scheme
+    assert allowed == ((operator, kind, scheme is not None) in ACCEPTED_COMBINATIONS)
+    if not allowed:
+        with pytest.raises(ConfigError, match=f"^{operator} "):
+            Scenario.from_dict(d)
+        return
+    rep = run_scenario(Scenario.from_dict(d))
+    assert rep.summary["probes"] == 1
 
 
 def test_sequential_probe_spelling():
@@ -347,8 +398,10 @@ def test_cli_list_names_everything():
     assert out.returncode == 0
     for name in ("constant", "bilinear_ratio", "example1", "half_line_split"):
         assert name in out.stdout
-    assert "lambda_blend" in out.stdout
-    assert "sorgenfrey" in out.stdout
+    listed = out.stdout.split()
+    for name in (*OPERATORS, *SCHEMES):
+        assert name in listed
+    assert "none" not in listed
 
 
 def test_cli_run_passes_and_prints_json():
@@ -384,6 +437,24 @@ def test_cli_schedule_override_validation():
         "run", str(SCENARIO_DIR / "blend_constant.json"), "--schedule", "4,2"
     )
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cli_non_finite_eps_is_a_config_error(value):
+    out = _cli("run", str(SCENARIO_DIR / "blend_constant.json"), "--eps", value)
+    assert out.returncode == 2
+    assert out.stderr.startswith("config error:")
+    assert len(out.stderr.splitlines()) == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, equiblend.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_suite_reruns_byte_identical(tmp_path):

@@ -9,7 +9,6 @@ from equiblend.connectors import affine_line, affine_space, straight_line_contra
 from equiblend.gallery import dirichlet_tower, half_line_instance, TaggedReal
 from equiblend.operators import (
     AmbiguousCell,
-    ApproximantSequence,
     BaireTower,
     DiscretenessError,
     GlueBump,
@@ -17,11 +16,8 @@ from equiblend.operators import (
     SectionedFunction,
     TailReport,
     ambiguous_limit,
-    ambiguous_sequence,
     ambiguous_target,
     anchored_cells,
-    anchored_sequence,
-    blend_sequence,
     contractible_glue,
     lambda_blend,
     piecewise_anchor,
@@ -147,9 +143,8 @@ def test_piecewise_anchor_matches_blend_on_half_open_tiles():
     f = SectionedFunction.from_callable(lambda x, y: float(np.sin(float(x) + float(y))))
     scheme = sorgenfrey_scheme(n_max=8, domain=(0.0, 1.0))
     z = affine_line(1)
-    cells, anchor_of, _meta = anchored_cells(scheme, 8)
     blend = lambda_blend(f, scheme, z, 8)
-    anchored = piecewise_anchor(f, cells, anchor_of, 8)
+    anchored = piecewise_anchor(f, anchored_cells(scheme, 8), scheme.anchor, 8)
     rng = np.random.default_rng(13)
     for _ in range(50):
         x = float(rng.uniform(0.0, 1.0))
@@ -256,30 +251,3 @@ def test_ambiguous_limit_rejects_region_overlap():
     term = ambiguous_limit(c, (cell, cell), 2)
     with pytest.raises(DiscretenessError):
         term(0.0, 0.0)
-
-
-# ------------------------------------------------------------- sequence API
-
-
-def test_sequence_builders_tag_their_kind():
-    f = SectionedFunction.from_callable(lambda x, y: 0.5)
-    scheme = grid_scheme(1, box=(0.0, 1.0), n_max=4)
-    z = affine_line(1)
-    seq = blend_sequence(f, scheme, z)
-    assert isinstance(seq, ApproximantSequence)
-    assert seq.kind == "lambda_blend"
-    assert seq.term(2)(0.25, 0.0) == 0.5
-
-    aseq = anchored_sequence(f, scheme)
-    assert aseq.kind == "piecewise_anchor"
-    assert aseq.term(3)(0.25, 0.0) == 0.5
-
-    inst = half_line_instance()
-    mseq = ambiguous_sequence(inst.contraction, inst.cells)
-    assert mseq.kind == "ambiguous_limit"
-    assert mseq.term(2)(-0.2, 0.1) == 0.0  # level-2 gap between the regions
-
-
-def test_approximant_sequence_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        ApproximantSequence(term=lambda n: (lambda x, y: 0.0), kind="mystery", metadata={})
