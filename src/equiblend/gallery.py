@@ -261,17 +261,6 @@ class CollapsingBump:
         return w * cosine_bump(y.value, width, self.center.value)
 
 
-def collapsing_bump(phi, psi, center, peak_set, active_set, spike_set) -> CollapsingBump:
-    return CollapsingBump(
-        phi=phi,
-        psi=psi,
-        center=as_tagged(center) if not isinstance(center, TaggedReal) else center,
-        peak_set=peak_set,
-        active_set=active_set,
-        spike_set=spike_set,
-    )
-
-
 def collapsing_instance() -> CollapsingBump:
     """The one-dimensional reference instance.
 

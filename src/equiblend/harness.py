@@ -4,9 +4,11 @@ byte-stable reports.
 A scenario names a registered two-variable function, an approximation
 operator, an anchor scheme, and a list of (x, y) probes; the runner evaluates
 the operator's level terms along a schedule and applies the tail criterion
-against the function's own value at each probe.  One table per concept
-(``OPERATORS``, ``SCHEMES``, ``Z_SPACES``) drives parsing, running and
-listing.  Reports serialize through ``json`` with shortest round-trip floats
+against the function's own value at each probe.  Four tables, one per
+concept (``OPERATORS``, ``SCHEMES``, ``Z_SPACES``, ``X_SPACES``), drive
+parsing, running and listing; parsing builds the function, the scheme and
+the z-space once, so bad values fail as ``ConfigError`` before any run.
+Reports serialize through ``json`` with shortest round-trip floats
 and fixed key order, so identical runs produce identical bytes.
 """
 
@@ -40,6 +42,7 @@ from .operators import (
     lambda_blend,
     piecewise_anchor,
     tail_check,
+    tower_terms,
 )
 from .partitions import grid_scheme, sorgenfrey_scheme
 
@@ -62,6 +65,7 @@ class FunctionSpec:
     kind: str  # "pointwise" | "sequential" | "ambiguous"
     make: Callable
     summary: str
+    scalar_x: bool = True  # False: takes x of any dimension
 
 
 def _constant_function() -> SectionedFunction:
@@ -100,7 +104,7 @@ def _head_sequence_function() -> SectionedFunction:
 
 
 REGISTRY = {
-    "constant": FunctionSpec("pointwise", _constant_function, "constant 0.5"),
+    "constant": FunctionSpec("pointwise", _constant_function, "constant 0.5", scalar_x=False),
     "product": FunctionSpec("pointwise", _product_function, "x * y on the line"),
     "bilinear_ratio": FunctionSpec("pointwise", lambda: SectionedFunction.from_callable(_bilinear_ratio), "2xy/(x^2+y^2), 0 at the origin"),
     "sine_sum": FunctionSpec("pointwise", _sine_sum_function, "sin(x + y)"),
@@ -197,25 +201,47 @@ def _parse_x(spec, fn_kind: str):
     return _as_number(spec, f"bad x spec {spec!r}")
 
 
-def _check_x_space(cfg: dict, x, index: int) -> None:
-    kind = cfg["kind"]
-    if kind == "sequential_fan":
-        _require(isinstance(x, SequentialPoint), f"probe {index}: fan scenarios need sequential points")
-        return
-    _require(not isinstance(x, SequentialPoint), f"probe {index}: sequential point outside a fan scenario")
-    if kind == "real_line":
-        return
-    if kind == "half_open_line":
-        lo, hi = cfg.get("domain", (0.0, 1.0))
-        _require(np.ndim(x) == 0 and lo <= float(x) < hi, f"probe {index}: x {x!r} outside [{lo}, {hi})")
-        return
-    if kind == "box":
-        lo, hi = cfg["lo"], cfg["hi"]
+def _x_half_open_line(cfg: dict):
+    domain = cfg.get("domain", (0.0, 1.0))
+    _require(isinstance(domain, (list, tuple)) and len(domain) == 2, f"half_open_line domain must be [lo, hi], got {domain!r}")
+    lo, hi = (_as_number(v, f"half_open_line domain must be numbers, got {domain!r}") for v in domain)
+    return lambda x: not isinstance(x, SequentialPoint) and np.ndim(x) == 0 and lo <= float(x) < hi
+
+
+def _x_box(cfg: dict):
+    lo, hi = (_as_number(cfg.get(key), f"box x_space needs a number {key!r}, got {cfg.get(key)!r}") for key in ("lo", "hi"))
+    dim = cfg.get("dim", 1)
+    _require(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1, f"box x_space dim must be a positive integer, got {dim!r}")
+
+    def contains(x) -> bool:
+        if isinstance(x, SequentialPoint):
+            return False
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        _require(arr.size == int(cfg.get("dim", 1)), f"probe {index}: x {x!r} has the wrong dimension")
-        _require(bool(np.all(arr >= lo) and np.all(arr <= hi)), f"probe {index}: x {x!r} outside the box")
-        return
-    raise ConfigError(f"unknown x_space kind {kind!r}")
+        return arr.size == dim and bool(np.all(arr >= lo) and np.all(arr <= hi))
+
+    return contains
+
+
+# kind -> (config -> membership predicate on parsed probe points)
+X_SPACES = {
+    "sequential_fan": lambda cfg: lambda x: isinstance(x, SequentialPoint),
+    "real_line": lambda cfg: lambda x: not isinstance(x, SequentialPoint),
+    "half_open_line": _x_half_open_line,
+    "box": _x_box,
+}
+
+
+def _x_space(cfg) -> Callable:
+    _require(isinstance(cfg, dict) and isinstance(cfg.get("kind"), str) and cfg["kind"] in X_SPACES, f"bad x_space {cfg!r}; kinds are {', '.join(X_SPACES)}")
+    return X_SPACES[cfg["kind"]](cfg)
+
+
+def _build(what: str, make: Callable, *args):
+    """Call a constructor, turning its argument errors into ConfigError."""
+    try:
+        return make(*args)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def _default_x_space(scheme_cfg: dict, fn_kind: str) -> dict:
@@ -239,6 +265,9 @@ class Scenario:
     schedule: tuple
     eps: float
     rng_seed: int
+    function: object  # REGISTRY[fn_name].make()
+    scheme: object  # AnchoredScheme to max(schedule), or None
+    z_space: object  # ConnectorSpace
 
     def echo(self) -> dict:
         return {
@@ -271,18 +300,6 @@ class Scenario:
         op = OPERATORS[operator]
         _require(spec.kind in op.kinds, f"{operator} takes {' or '.join(op.kinds)} functions, not {fn_name!r} ({spec.kind})")
 
-        scheme_cfg = data.get("scheme", {"kind": "none"})
-        _require(isinstance(scheme_cfg, dict) and scheme_cfg.get("kind") in (*SCHEMES, "none"), f"bad scheme {scheme_cfg!r}")
-        if op.needs_scheme:
-            _require(scheme_cfg["kind"] in SCHEMES, f"{operator} needs a {' or '.join(SCHEMES)} scheme")
-            for key in SCHEMES[scheme_cfg["kind"]].required:
-                _require(key in scheme_cfg, f"{scheme_cfg['kind']} scheme needs {key!r}")
-        else:
-            _require(scheme_cfg["kind"] == "none", f"{operator} does not take a scheme")
-
-        z_cfg = data.get("z_space", {"kind": "line", "dim": 1})
-        _require(isinstance(z_cfg, dict) and isinstance(z_cfg.get("kind"), str) and z_cfg["kind"] in Z_SPACES, f"bad z_space {z_cfg!r}")
-
         schedule_raw = data.get("schedule", list(DEFAULT_SCHEDULE))
         _require(
             isinstance(schedule_raw, (list, tuple)) and schedule_raw and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in schedule_raw),
@@ -291,6 +308,22 @@ class Scenario:
         schedule = tuple(int(n) for n in schedule_raw)
         _require(all(a < b for a, b in zip(schedule, schedule[1:])), "schedule must be strictly increasing")
 
+        scheme_cfg = data.get("scheme", {"kind": "none"})
+        _require(isinstance(scheme_cfg, dict) and scheme_cfg.get("kind") in (*SCHEMES, "none"), f"bad scheme {scheme_cfg!r}")
+        scheme = None
+        if op.needs_scheme:
+            _require(scheme_cfg["kind"] in SCHEMES, f"{operator} needs a {' or '.join(SCHEMES)} scheme")
+            for key in SCHEMES[scheme_cfg["kind"]].required:
+                _require(key in scheme_cfg, f"{scheme_cfg['kind']} scheme needs {key!r}")
+            scheme = _build(f"{scheme_cfg['kind']} scheme", SCHEMES[scheme_cfg["kind"]].build, scheme_cfg, max(schedule))
+        else:
+            _require(scheme_cfg["kind"] == "none", f"{operator} does not take a scheme")
+
+        z_cfg = data.get("z_space", {"kind": "line", "dim": 1})
+        _require(isinstance(z_cfg, dict) and isinstance(z_cfg.get("kind"), str) and z_cfg["kind"] in Z_SPACES, f"bad z_space {z_cfg!r}")
+        z_space = _build(f"{z_cfg['kind']} z_space", Z_SPACES[z_cfg["kind"]], z_cfg)
+        _require(z_space.point_dim == 1, f"z_space dim must be 1, got {z_space.point_dim}: every registered function is scalar-valued")
+
         eps = data.get("eps", DEFAULT_EPS)
         eps = _as_number(eps, f"eps must be a finite number, got {eps!r}")
         _require(eps >= 0.0, "eps must be nonnegative")
@@ -298,15 +331,19 @@ class Scenario:
         rng_seed = data.get("rng_seed", 0)
         _require(isinstance(rng_seed, int) and not isinstance(rng_seed, bool), "rng_seed must be an integer")
 
+        # an explicit x_space narrows the default (the scheme's domain), never widens it
+        x_default = _default_x_space(scheme_cfg, spec.kind)
+        x_cfg = data.get("x_space") or x_default
+        domains = [_x_space(x_cfg)] + ([_x_space(x_default)] if x_cfg != x_default else [])
+
         probes_raw = data["probes"]
         _require(isinstance(probes_raw, list), "probes must be a list")
-        x_cfg = data.get("x_space") or _default_x_space(scheme_cfg, spec.kind)
-        _require(isinstance(x_cfg, dict) and "kind" in x_cfg, f"bad x_space {x_cfg!r}")
         parsed = []
         for index, probe in enumerate(probes_raw):
             _require(isinstance(probe, dict) and set(probe) == {"x", "y"}, f"probe {index} must be an object with keys x and y")
             x = _parse_x(probe["x"], spec.kind)
-            _check_x_space(x_cfg, x, index)
+            _require(all(contains(x) for contains in domains), f"probe {index}: x {probe['x']!r} lies outside the x_space or the scheme's domain")
+            _require(np.size(x) == 1 or not spec.scalar_x, f"probe {index}: {fn_name} takes a scalar x, not {probe['x']!r}")
             parsed.append((x, _parse_y(probe["y"])))
         return cls(
             name=name,
@@ -320,6 +357,9 @@ class Scenario:
             schedule=schedule,
             eps=eps,
             rng_seed=int(rng_seed),
+            function=spec.make(),
+            scheme=scheme,
+            z_space=z_space,
         )
 
 
@@ -356,52 +396,24 @@ class ScenarioReport:
     summary: dict
 
 
-def _level_terms(scenario: Scenario, term_at) -> list:
-    """Per probe, the level terms term_at(n)(x, y) along the schedule."""
+def _run_levels(scenario: Scenario, term_at, target):
+    """Per probe, the level terms term_at(n)(x, y) along the schedule, and
+    the probes' targets."""
     per_probe = [[] for _ in scenario.probes]
     for n in scenario.schedule:
         term = term_at(n)
         for slot, (x, y) in zip(per_probe, scenario.probes):
             slot.append(term(x, y))
-    return per_probe
-
-
-def _run_blend(scenario: Scenario):
-    scheme = SCHEMES[scenario.scheme_cfg["kind"]].build(scenario.scheme_cfg, max(scenario.schedule))
-    z_space = Z_SPACES[scenario.z_cfg["kind"]](scenario.z_cfg)
-    sf = REGISTRY[scenario.fn_name].make()
-    terms = _level_terms(scenario, lambda n: lambda_blend(sf, scheme, z_space, n))
-    return terms, [sf.eval(x, y) for x, y in scenario.probes]
-
-
-def _run_anchor(scenario: Scenario):
-    scheme = SCHEMES[scenario.scheme_cfg["kind"]].build(scenario.scheme_cfg, max(scenario.schedule))
-    sf = REGISTRY[scenario.fn_name].make()
-    terms = _level_terms(scenario, lambda n: piecewise_anchor(sf, anchored_cells(scheme, n), scheme.anchor, n))
-    return terms, [sf.eval(x, y) for x, y in scenario.probes]
-
-
-def _run_ambiguous(scenario: Scenario):
-    instance = REGISTRY[scenario.fn_name].make()
-    target = instance.target()
-    terms = _level_terms(scenario, instance.term)
-    return terms, [target(x, y) for x, y in scenario.probes]
-
-
-def _tower_terms(sf: SectionedFunction, x, y, schedule) -> tuple:
-    tower = sf.tower_at(x)
-    if tower is None:
-        raise ConfigError(f"no anchor tower at {x!r}")
-    if tower.depth == 0:
-        value = tower.limit_eval(y)
-        return tuple(value for _ in schedule), value
-    terms = tuple(tower.tower(n).limit_eval(y) for n in schedule)
-    return terms, tower.limit_eval(y)
+    return per_probe, [target(x, y) for x, y in scenario.probes]
 
 
 def _run_towers(scenario: Scenario):
-    sf = REGISTRY[scenario.fn_name].make()
-    pairs = [_tower_terms(sf, x, y, scenario.schedule) for x, y in scenario.probes]
+    pairs = []
+    for x, y in scenario.probes:
+        tower = scenario.function.tower_at(x)
+        if tower is None:
+            raise ConfigError(f"no anchor tower at {x!r}")
+        pairs.append(tower_terms(tower, y, scenario.schedule))
     return [terms for terms, _ in pairs], [target for _, target in pairs]
 
 
@@ -412,10 +424,18 @@ class OperatorSpec:
     run: Callable  # scenario -> (per-probe level terms, per-probe targets)
 
 
+# Level terms call the operators as module globals at call time, so a wrapper
+# installed on this module sees every call.
 OPERATORS = {
-    "lambda_blend": OperatorSpec(("pointwise",), True, _run_blend),
-    "piecewise_anchor": OperatorSpec(("pointwise",), True, _run_anchor),
-    "ambiguous_limit": OperatorSpec(("ambiguous",), False, _run_ambiguous),
+    "lambda_blend": OperatorSpec(
+        ("pointwise",), True, lambda s: _run_levels(s, lambda n: lambda_blend(s.function, s.scheme, s.z_space, n), s.function.eval)
+    ),
+    "piecewise_anchor": OperatorSpec(
+        ("pointwise",),
+        True,
+        lambda s: _run_levels(s, lambda n: piecewise_anchor(s.function, anchored_cells(s.scheme, n), s.scheme.anchor, n), s.function.eval),
+    ),
+    "ambiguous_limit": OperatorSpec(("ambiguous",), False, lambda s: _run_levels(s, s.function.term, s.function.target())),
     "tower_tail": OperatorSpec(("pointwise", "sequential"), False, _run_towers),
 }
 

@@ -10,6 +10,7 @@ a level schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,13 +85,22 @@ class TailReport:
     final_gap: float
 
 
+def tower_terms(t: BaireTower, y, schedule: Sequence[int]) -> tuple:
+    """(stage limits at y along the schedule, the tower's own limit at y); a
+    depth-0 tower is its own limit at every level."""
+    if t.depth == 0:
+        value = t.limit_eval(y)
+        return tuple(value for _ in schedule), value
+    terms = tuple(t.tower(n).limit_eval(y) for n in schedule)
+    return terms, t.limit_eval(y)
+
+
 def tower_tail(t: BaireTower, y, schedule: Sequence[int], eps: float, k_tail: int = TAIL_K) -> TailReport:
     """Evaluate a tower's stages at y along the schedule and compare their
     limits against the tower's own limit under the tail criterion."""
     if t.depth < 1:
         raise ValueError("tower_tail needs a tower of depth >= 1")
-    terms = tuple(t.tower(n).limit_eval(y) for n in schedule)
-    target = t.limit_eval(y)
+    terms, target = tower_terms(t, y, schedule)
     passed, gaps, final_gap = tail_check(terms, target, eps, k_tail)
     return TailReport(terms=terms, target=target, gaps=gaps, passed=passed, final_gap=final_gap)
 
@@ -101,7 +111,6 @@ class SectionedFunction:
     declared regularity towers at anchor points."""
 
     eval: Callable
-    x_section: Callable | None = None
     anchor_regularity: Callable | None = None
 
     @classmethod
@@ -109,8 +118,6 @@ class SectionedFunction:
         return cls(eval=f)
 
     def section(self, x):
-        if self.x_section is not None:
-            return self.x_section(x)
         return lambda y: self.eval(x, y)
 
     def tower_at(self, x) -> BaireTower | None:
@@ -130,12 +137,7 @@ def lambda_blend(f: SectionedFunction, scheme: AnchoredScheme, z_space: Connecto
     family = scheme.family(n)
 
     def term(x, y):
-        entries = []
-        for key in family.index_keys:
-            if family.support_of(key).contains(x):
-                w = family.eval(key, x)
-                if w > 0.0:
-                    entries.append((key, w, f.eval(scheme.anchor(n, key), y)))
+        entries = [(key, w, f.eval(scheme.anchor(n, key), y)) for key, w in family.weights_at(x) if w > 0.0]
         if not entries:
             raise PartitionViolationError(f"no bump is positive at {x!r} (level {n})")
         return lambda_sum(z_space, OrderedWeightFamily(tuple(entries)))
@@ -150,13 +152,12 @@ def anchored_cells(scheme: AnchoredScheme, n: int) -> CoverCellPartition:
     return disjointify([(key, family.support_of(key).contains) for key in family.index_keys])
 
 
-def piecewise_anchor(f: SectionedFunction, cells, anchor_of_cell, n: int):
+def piecewise_anchor(f: SectionedFunction, cells: CoverCellPartition, anchor_of_cell, n: int):
     """Level-n anchor map: at (x, y), take the unique cell holding x and
     return the anchor's section value f(anchor(cell), y)."""
-    part: CoverCellPartition = cells(n) if callable(cells) else cells
 
     def term(x, y):
-        key = part.cell_of(x)
+        key = cells.cell_of(x)
         return f.eval(anchor_of_cell(n, key), y)
 
     return term
@@ -214,23 +215,15 @@ class AmbiguousCell:
 
 
 def ambiguous_limit(c: Contraction, cells: Sequence[AmbiguousCell], n: int):
-    """Level-n term of the glued limit: inside the unique u-region holding x,
-    gamma(g_n(y), 1 - phi_n(x)) with g_n the cell tower's stage-n limit;
-    outside all u-regions, the star point."""
-
-    def term(x, y):
-        hits = [cell for cell in cells if cell.u_region(n).contains(x)]
-        if len(hits) > 1:
-            raise DiscretenessError(f"{len(hits)} cell regions overlap at {x!r} (level {n})")
-        if not hits:
-            return c.star
-        cell = hits[0]
-        w = float(cell.phi(n, x))
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"cell weight {w!r} outside [0, 1]")
-        return c.gamma(cell.tower.tower(n).limit_eval(y), 1.0 - w)
-
-    return term
+    """Level-n term of the glued limit: the contractible glue of the cells'
+    level-n bumps, so inside the unique u-region holding x it is
+    gamma(g_n(y), 1 - phi_n(x)) with g_n the cell tower's stage-n limit, and
+    outside all u-regions the star point."""
+    bumps = [
+        GlueBump(phi=partial(cell.phi, n), section=cell.tower.tower(n).limit_eval, support=cell.u_region(n))
+        for cell in cells
+    ]
+    return partial(contractible_glue, c, bumps)
 
 
 def ambiguous_target(cells: Sequence[AmbiguousCell], n_cap: int = 1024):

@@ -10,7 +10,7 @@ support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -104,7 +104,6 @@ class BumpFamily:
     index_keys: tuple
     eval: Callable[[Key, object], float]
     support_of: Callable[[Key], SupportBox]
-    space_kind: str  # "euclidean_grid" | "sorgenfrey" | "abstract"
 
     def active_keys(self, x) -> list:
         return [k for k in self.index_keys if self.support_of(k).contains(x)]
@@ -210,14 +209,14 @@ class AnchoredScheme:
         return dict(self._describe)
 
 
-def grid_scheme(dim: int, box, dense_points: DenseSet | Iterable | None = None, n_max: int = 8) -> AnchoredScheme:
+def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
     """Multilinear tent partitions on the mesh-(1/n) grid over a box.
 
     The box side length must be a whole number so every mesh tiles it exactly.
-    Tent supports are the two adjacent mesh cells per axis, declared
-    left-closed/right-open (closing at the box's top face), so any point lies
-    in at most 2^dim supports.  Each node's anchor is a dense-set point within
-    1/(2n) of the node.
+    Node j's tent support runs from node j-1 to node j+1 per axis (clamped to
+    the box), declared left-closed/right-open and closing at the box's top
+    face; bounds are node coordinates, so any point lies in at most 2^dim
+    supports.  Each node's anchor is a dyadic point within 1/(2n) of the node.
     """
     dim = int(dim)
     if dim < 1:
@@ -229,12 +228,7 @@ def grid_scheme(dim: int, box, dense_points: DenseSet | Iterable | None = None, 
     if abs(side - round(side)) > 1e-9:
         raise ValueError("box side length must be a whole number so meshes tile it exactly")
     side = int(round(side))
-    if dense_points is None:
-        dense = dyadic_dense()
-    elif isinstance(dense_points, DenseSet):
-        dense = dense_points
-    else:
-        dense = dense_from_iterable(dense_points)
+    dense = dyadic_dense()
 
     def build_level(n: int):
         h = 1.0 / n
@@ -250,16 +244,12 @@ def grid_scheme(dim: int, box, dense_points: DenseSet | Iterable | None = None, 
         keys = tuple(sorted(keys))
 
         def support_of(key):
-            los, his, clo, chi = [], [], [], []
-            for c in node_of(key):
-                a = max(c - h, lo)
-                b = c + h
-                closed_hi = b >= hi
-                los.append(a)
-                his.append(min(b, hi))
-                clo.append(True)
-                chi.append(closed_hi)
-            return SupportBox(tuple(los), tuple(his), tuple(clo), tuple(chi))
+            return SupportBox(
+                tuple(axis_nodes[max(j - 1, 0)] for j in key),
+                tuple(axis_nodes[min(j + 1, count)] for j in key),
+                (True,) * dim,
+                tuple(j + 1 >= count for j in key),
+            )
 
         def eval_bump(key, x) -> float:
             if not support_of(key).contains(x):
@@ -270,12 +260,7 @@ def grid_scheme(dim: int, box, dense_points: DenseSet | Iterable | None = None, 
                 value *= max(0.0, 1.0 - n * abs(v - c))
             return float(value)
 
-        family = BumpFamily(
-            index_keys=keys,
-            eval=eval_bump,
-            support_of=support_of,
-            space_kind="euclidean_grid",
-        )
+        family = BumpFamily(index_keys=keys, eval=eval_bump, support_of=support_of)
         anchors = {}
         r = 0.5 * h
         for key in keys:
@@ -298,32 +283,17 @@ def grid_scheme(dim: int, box, dense_points: DenseSet | Iterable | None = None, 
     return AnchoredScheme(n_max, "euclidean_grid", dense.tag, build_level, describe)
 
 
-def sorgenfrey_scheme(
-    dense_points: DenseSet | Iterable | None = None,
-    n_max: int = 8,
-    i_range: tuple | None = None,
-    domain=(0.0, 1.0),
-) -> AnchoredScheme:
+def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
     """Characteristic-function partitions of the half-open tiling
     [(i-1)/n, i/n), anchored one tile to the right: the level-n anchor for
-    tile i is a dense point of [i/n, (i+1)/n)."""
+    tile i is a dyadic point of [i/n, (i+1)/n)."""
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
         raise ValueError("domain must have positive length")
-    if dense_points is None:
-        dense = dyadic_dense()
-    elif isinstance(dense_points, DenseSet):
-        dense = dense_points
-    else:
-        dense = dense_from_iterable(dense_points)
+    dense = dyadic_dense()
 
     def build_level(n: int):
-        if i_range is not None:
-            i_lo, i_hi = int(i_range[0]), int(i_range[1])
-        else:
-            i_lo = math.floor(lo * n) - 1
-            i_hi = math.ceil(hi * n) + 1
-        keys = tuple((i,) for i in range(i_lo, i_hi + 1))
+        keys = tuple((i,) for i in range(math.floor(lo * n) - 1, math.ceil(hi * n) + 2))
 
         def support_of(key):
             (i,) = key
@@ -332,12 +302,7 @@ def sorgenfrey_scheme(
         def eval_bump(key, x) -> float:
             return 1.0 if support_of(key).contains(x) else 0.0
 
-        family = BumpFamily(
-            index_keys=keys,
-            eval=eval_bump,
-            support_of=support_of,
-            space_kind="sorgenfrey",
-        )
+        family = BumpFamily(index_keys=keys, eval=eval_bump, support_of=support_of)
         anchors = {}
         for key in keys:
             (i,) = key
@@ -351,8 +316,6 @@ def sorgenfrey_scheme(
         "n_max": int(n_max),
         "dense_set": dense.tag,
     }
-    if i_range is not None:
-        describe["i_range"] = [int(i_range[0]), int(i_range[1])]
     return AnchoredScheme(n_max, "sorgenfrey", dense.tag, build_level, describe)
 
 
@@ -421,15 +384,15 @@ def disjointify(cover: Sequence) -> CoverCellPartition:
     items = [(_as_key(key), member) for key, member in cover]
     if not items:
         raise CoverError("cover is empty")
-    cells = []
-    for idx, (key, member) in enumerate(items):
-        earlier = tuple(m for _, m in items[:idx])
+    members = tuple(member for _, member in items)
 
-        def cell_member(x, _member=member, _earlier=earlier):
-            return bool(_member(x)) and not any(m(x) for m in _earlier)
+    def cell(idx):
+        def cell_member(x):
+            return bool(members[idx](x)) and not any(m(x) for m in members[:idx])
 
-        cells.append((key, cell_member))
-    return CoverCellPartition(tuple(cells), "disjointified")
+        return cell_member
+
+    return CoverCellPartition(tuple((key, cell(idx)) for idx, (key, _) in enumerate(items)), "disjointified")
 
 
 def supplied_partition(cells: Sequence) -> CoverCellPartition:

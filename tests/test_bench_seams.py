@@ -1,0 +1,78 @@
+"""The benchmark's span tracer still finds every name it wraps.
+
+bench/spans.py wraps library names where the CLI and the harness look them
+up; a renamed or bypassed name leaves its span empty and fails a traced
+benchmark run.  This runs tiny scenarios under the tracer, in a subprocess
+so the wrappers stay out of this process, and checks every span and counter
+that bench/run.py requires on the suite, probes and levels workloads.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LINE = {"kind": "line", "dim": 1}
+SCENARIOS = {
+    "anchor2": {
+        "function": "constant",
+        "operator": "piecewise_anchor",
+        "scheme": {"kind": "grid", "dim": 2, "lo": -1.0, "hi": 1.0},
+        "z_space": LINE,
+        "probes": [{"x": [0.3, -0.2], "y": 0.5}],
+        "schedule": [1, 2, 4],
+    },
+    "blend1": {
+        "function": "sine_sum",
+        "operator": "lambda_blend",
+        "scheme": {"kind": "grid", "dim": 1, "lo": -1.0, "hi": 1.0},
+        "z_space": LINE,
+        "probes": [{"x": 0.3, "y": 0.5}],
+        "schedule": [1, 2, 4],
+    },
+    "collapsing": {
+        "function": "collapsing_bump",
+        "operator": "lambda_blend",
+        "scheme": {"kind": "grid", "dim": 1, "lo": -1.0, "hi": 1.0},
+        "z_space": {"kind": "warped"},
+        "probes": [{"x": 0.3, "y": {"rational": [0, 1]}}],
+        "schedule": [1, 2, 4],
+    },
+    "fan": {
+        "function": "example1",
+        "operator": "tower_tail",
+        "probes": [{"x": {"sequential": ["origin"]}, "y": {"rational": [1, 2]}}],
+        "schedule": [1, 2, 4],
+    },
+}
+
+TRACED_SUITE = """
+import json, sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
+import equiblend.cli, run, spans
+tracer = spans.Tracer()
+spans.install(tracer)
+equiblend.cli.main(["suite", sys.argv[2], "--out", sys.argv[3]])
+summary = tracer.summary()
+names = {name for workload in ("suite", "probes", "levels") for name in run.MUST_RECORD[workload]}
+print(json.dumps({name: summary["spans"].get(name, {}).get("calls", 0) or summary["counts"].get(name, 0) for name in sorted(names)}))
+"""
+
+
+def test_every_required_span_records(tmp_path):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for name, fields in SCENARIOS.items():
+        (suite / f"{name}.json").write_text(json.dumps({"name": name, **fields}))
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_SUITE, str(ROOT), str(suite), str(tmp_path / "report.json")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    recorded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert [name for name, calls in recorded.items() if not calls] == []

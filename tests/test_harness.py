@@ -469,3 +469,32 @@ def test_cli_suite_reruns_byte_identical(tmp_path):
     r2 = _cli("suite", str(suite_dir), "--out", str(two))
     assert r1.returncode == 0 and r2.returncode == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+MALFORMED = {
+    "affine_z_lo_above_hi": {"z_space": {"kind": "affine", "lo": 1.0, "hi": 0.0}},
+    "sorgenfrey_domain_not_numbers": {"scheme": {"kind": "sorgenfrey", "domain": [0.0, "x"]}},
+    "grid_lo_not_a_number": {"scheme": {"kind": "grid", "dim": 1, "lo": "x", "hi": 1.0}},
+    "grid_side_not_whole": {"scheme": {"kind": "grid", "dim": 1, "lo": 0.0, "hi": 1.5}},
+    "z_dim_not_a_number": {"z_space": {"kind": "line", "dim": "x"}},
+    "z_dim_two": {"z_space": {"kind": "line", "dim": 2}},
+    "scalar_function_on_dim2_grid": {
+        "function": "product",
+        "scheme": {"kind": "grid", "dim": 2, "lo": 0.0, "hi": 1.0},
+        "probes": [{"x": [0.25, 0.5], "y": 0.5}],
+    },
+    "box_x_space_without_lo": {"x_space": {"kind": "box", "hi": 1.0}},
+    "probe_outside_the_scheme": {"x_space": {"kind": "real_line"}, "probes": [{"x": 3.0, "y": 0.5}]},
+    "unknown_x_space_without_probes": {"x_space": {"kind": "sphere"}, "probes": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_cli_malformed_scenario_is_one_config_error_line(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_minimal_dict(**MALFORMED[name])))
+    out = _cli("run", str(path))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("config error:")
+    assert len(out.stderr.splitlines()) == 1
+    assert "Traceback" not in out.stderr

@@ -104,6 +104,20 @@ def test_grid_partition_of_unity():
                 total = fam.partition_sum(x)
                 assert abs(total - 1.0) <= 1e-12
                 assert len(fam.active_keys(x)) <= 2 ** dim
+    # adversarial floats: every node and its 1-ulp neighbours inside the box,
+    # on non-dyadic meshes; dim 2 pairs them against the reversed list so
+    # both coordinates sit at a node edge
+    for dim, ns in ((1, (3, 7, 10, 49, 199)), (2, (3, 7, 10))):
+        scheme = grid_scheme(dim, box=(-1.0, 1.0), n_max=max(ns))
+        for n in ns:
+            fam = scheme.family(n)
+            nodes = [-1.0 + j / n for j in range(2 * n + 1)]
+            coords = [v for c in nodes for v in (np.nextafter(c, -2.0), c, np.nextafter(c, 2.0)) if -1.0 <= v <= 1.0]
+            points = coords if dim == 1 else [np.array(p) for p in zip(coords, reversed(coords))]
+            for x in points:
+                weights = [w for _, w in fam.weights_at(x)]  # what partition_sum adds up
+                assert abs(sum(weights) - 1.0) <= 1e-12
+                assert len(weights) <= 2 ** dim
 
 
 def test_grid_supports_cover_without_slack():
