@@ -36,6 +36,11 @@ def _points_equal(a, b) -> bool:
     return a == b
 
 
+def _check_dim(dim) -> None:
+    if not (isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1):
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+
+
 def _norm_metric(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
 
@@ -71,21 +76,22 @@ def _with_endpoint_identities(raw):
     return connect
 
 
-def affine_space(lo, hi, dim: int | None = None, name: str = "") -> ConnectorSpace:
+def affine_space(lo, hi, dim: int = 1, name: str = "") -> ConnectorSpace:
     """Straight-line connector on a closed box, (1-t)x + t y.
 
-    ``lo``/``hi`` are scalars applied to every axis.  Membership allows 1e-9
-    slack for rounding drift at the box faces.
+    ``lo``/``hi`` are scalars applied to every axis, infinite ones included.
+    Membership needs finite coordinates and allows 1e-9 slack for rounding
+    drift at the box faces.
     """
     lo = float(lo)
     hi = float(hi)
     if not hi > lo:
         raise ValueError("affine_space needs hi > lo")
-    d = 1 if dim is None else int(dim)
+    _check_dim(dim)
 
     def contains(p) -> bool:
         arr = np.atleast_1d(np.asarray(p, dtype=float))
-        if arr.size != d:
+        if arr.size != dim or not np.all(np.isfinite(arr)):
             return False
         return bool(np.all(arr >= lo - 1e-9) and np.all(arr <= hi + 1e-9))
 
@@ -93,32 +99,17 @@ def affine_space(lo, hi, dim: int | None = None, name: str = "") -> ConnectorSpa
         return (1.0 - t) * x + t * y
 
     return ConnectorSpace(
-        point_dim=d,
+        point_dim=dim,
         contains=contains,
         connect=_with_endpoint_identities(raw),
         metric=_norm_metric,
-        name=name or f"affine[{lo},{hi}]^{d}",
+        name=name or f"affine[{lo},{hi}]^{dim}",
     )
 
 
 def affine_line(dim: int = 1, name: str = "") -> ConnectorSpace:
     """Unbounded straight-line connector (all finite points)."""
-    d = int(dim)
-
-    def contains(p) -> bool:
-        arr = np.atleast_1d(np.asarray(p, dtype=float))
-        return arr.size == d and bool(np.all(np.isfinite(arr)))
-
-    def raw(x, y, t):
-        return (1.0 - t) * x + t * y
-
-    return ConnectorSpace(
-        point_dim=d,
-        contains=contains,
-        connect=_with_endpoint_identities(raw),
-        metric=_norm_metric,
-        name=name or f"affine_line^{d}",
-    )
+    return affine_space(-math.inf, math.inf, dim, name or f"affine_line^{dim}")
 
 
 def _h(u: float) -> float:

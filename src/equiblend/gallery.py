@@ -608,31 +608,24 @@ class SequentialPoint:
         return cls("leaf", n=int(n), m=int(m))
 
 
+def _fan_tower(p: SequentialPoint) -> BaireTower:
+    """The fan's tower at p: the Dirichlet tower at the origin, its stage n
+    on row n, and that stage's level-m tent sum at leaf (n, m)."""
+    tower = dirichlet_tower()
+    if p.kind != "origin":
+        tower = tower.tower(p.n)
+    return tower.tower(p.m) if p.kind == "leaf" else tower
+
+
 def example1_eval(p: SequentialPoint, y) -> float:
     """Evaluate the fan function: leaves carry the continuous tent stages,
     rows their spike-indicator limits, the origin the full rational
     indicator."""
-    y = as_tagged(y)
-    if p.kind == "origin":
-        return dirichlet_value(y)
-    if p.kind == "level":
-        return _finite_indicator(p.n)(y)
-    return _tent_sum(p.n, p.m, y.value)
+    return _fan_tower(p).limit_eval(y)
 
 
 def example1_function() -> SectionedFunction:
-    def regularity(p: SequentialPoint) -> BaireTower:
-        if p.kind == "origin":
-            return dirichlet_tower()
-        if p.kind == "level":
-            return BaireTower(
-                depth=1,
-                limit_eval=_finite_indicator(p.n),
-                tower=lambda m: BaireTower(depth=0, limit_eval=lambda y: _tent_sum(p.n, m, as_float(y))),
-            )
-        return BaireTower(depth=0, limit_eval=lambda y: _tent_sum(p.n, p.m, as_float(y)))
-
-    return SectionedFunction(eval=example1_eval, anchor_regularity=regularity)
+    return SectionedFunction(eval=example1_eval, anchor_regularity=_fan_tower)
 
 
 def sequential_convergence_probe(target: SequentialPoint, seq: Sequence[SequentialPoint]) -> bool:
@@ -684,8 +677,8 @@ class TwoCellInstance:
     def term(self, n: int):
         return ambiguous_limit(self.contraction, self.cells, n)
 
-    def target(self, n_cap: int = 4096):
-        return ambiguous_target(self.cells, n_cap)
+    def target(self):
+        return ambiguous_target(self.cells)
 
 
 def half_line_instance() -> TwoCellInstance:

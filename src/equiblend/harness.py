@@ -30,9 +30,8 @@ from .gallery import (
     TaggedReal,
     as_float,
     collapsing_instance,
-    dirichlet_tower,
     example1_function,
-    example2_eval,
+    example2_function,
     half_line_instance,
 )
 from .operators import (
@@ -94,13 +93,11 @@ def _collapsing_function() -> SectionedFunction:
 
 def _head_sequence_function() -> SectionedFunction:
     # scalar x enters as the first coordinate of a finitely-supported sequence
-    def f(x, y):
-        return example2_eval(FinSeq.from_list([float(x)]), y)
-
-    def regularity(x):
-        return dirichlet_tower() if float(x) == 0.0 else None
-
-    return SectionedFunction(eval=f, anchor_regularity=regularity)
+    seq = example2_function()
+    return SectionedFunction(
+        eval=lambda x, y: seq.eval(FinSeq.from_list([float(x)]), y),
+        anchor_regularity=lambda x: seq.tower_at(FinSeq.from_list([float(x)])),
+    )
 
 
 REGISTRY = {
@@ -127,8 +124,8 @@ class SchemeSpec:
 SCHEMES = {
     "grid": SchemeSpec(
         ("dim", "lo", "hi"),
-        lambda cfg, n_max: grid_scheme(int(cfg["dim"]), (cfg["lo"], cfg["hi"]), n_max=n_max),
-        lambda cfg: {"kind": "box", "dim": int(cfg.get("dim", 1)), "lo": cfg["lo"], "hi": cfg["hi"]},
+        lambda cfg, n_max: grid_scheme(cfg["dim"], (cfg["lo"], cfg["hi"]), n_max=n_max),
+        lambda cfg: {"kind": "box", "dim": cfg["dim"], "lo": cfg["lo"], "hi": cfg["hi"]},
     ),
     "sorgenfrey": SchemeSpec(
         (),
@@ -138,8 +135,8 @@ SCHEMES = {
 }
 
 Z_SPACES = {
-    "line": lambda cfg: affine_line(int(cfg.get("dim", 1))),
-    "affine": lambda cfg: affine_space(cfg.get("lo", 0.0), cfg.get("hi", 1.0), int(cfg.get("dim", 1))),
+    "line": lambda cfg: affine_line(cfg.get("dim", 1)),
+    "affine": lambda cfg: affine_space(cfg.get("lo", 0.0), cfg.get("hi", 1.0), cfg.get("dim", 1)),
     "warped": lambda cfg: warped_line(),
 }
 
@@ -307,6 +304,7 @@ class Scenario:
         )
         schedule = tuple(int(n) for n in schedule_raw)
         _require(all(a < b for a, b in zip(schedule, schedule[1:])), "schedule must be strictly increasing")
+        _require(len(schedule) >= TAIL_K, f"schedule needs at least {TAIL_K} levels for the tail criterion, got {len(schedule)}")
 
         scheme_cfg = data.get("scheme", {"kind": "none"})
         _require(isinstance(scheme_cfg, dict) and scheme_cfg.get("kind") in (*SCHEMES, "none"), f"bad scheme {scheme_cfg!r}")
@@ -343,7 +341,7 @@ class Scenario:
             _require(isinstance(probe, dict) and set(probe) == {"x", "y"}, f"probe {index} must be an object with keys x and y")
             x = _parse_x(probe["x"], spec.kind)
             _require(all(contains(x) for contains in domains), f"probe {index}: x {probe['x']!r} lies outside the x_space or the scheme's domain")
-            _require(np.size(x) == 1 or not spec.scalar_x, f"probe {index}: {fn_name} takes a scalar x, not {probe['x']!r}")
+            _require(np.ndim(x) == 0 or not spec.scalar_x, f"probe {index}: {fn_name} takes a scalar x, not {probe['x']!r}")
             parsed.append((x, _parse_y(probe["y"])))
         return cls(
             name=name,
@@ -456,14 +454,12 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
                 final_gap=float(final_gap),
             )
         )
-    passed_count = sum(1 for r in records if r.passed)
-    summary = {
-        "probes": len(records),
-        "passed": passed_count,
-        "failed": len(records) - passed_count,
-        "all_passed": passed_count == len(records),
-    }
+    summary = _summary(len(records), sum(1 for r in records if r.passed))
     return ScenarioReport(scenario=scenario.echo(), records=tuple(records), summary=summary)
+
+
+def _summary(probes: int, passed: int) -> dict:
+    return {"probes": probes, "passed": passed, "failed": probes - passed, "all_passed": passed == probes}
 
 
 def report_data(report: ScenarioReport) -> dict:
@@ -491,13 +487,7 @@ def suite_data(reports: Sequence[ScenarioReport]) -> dict:
     passed = sum(r.summary["passed"] for r in reports)
     return {
         "scenarios": [report_data(r) for r in reports],
-        "summary": {
-            "scenarios": len(reports),
-            "probes": probes,
-            "passed": passed,
-            "failed": probes - passed,
-            "all_passed": passed == probes,
-        },
+        "summary": {"scenarios": len(reports), **_summary(probes, passed)},
     }
 
 

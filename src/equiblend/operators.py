@@ -226,7 +226,7 @@ def ambiguous_limit(c: Contraction, cells: Sequence[AmbiguousCell], n: int):
     return partial(contractible_glue, c, bumps)
 
 
-def ambiguous_target(cells: Sequence[AmbiguousCell], n_cap: int = 1024):
+def ambiguous_target(cells: Sequence[AmbiguousCell], n_cap: int = 4096):
     """The pointwise limit: on the cell whose core eventually captures x, the
     cell tower's limit section; undefined (raises) off every cell."""
 

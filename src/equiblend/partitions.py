@@ -9,13 +9,14 @@ support.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .connectors import Key, _as_key
+from .connectors import Key, _as_key, _check_dim, _norm_metric
 
 
 class DenseSetError(RuntimeError):
@@ -209,6 +210,21 @@ class AnchoredScheme:
         return dict(self._describe)
 
 
+def _anchored_level(keys: tuple, support_of, bump, anchor_region, dense: DenseSet):
+    """One scheme level: the bump family over ``keys`` and its anchors.
+
+    ``bump(key, x)`` is only called on points of ``support_of(key)``, so each
+    bump is exactly 0.0 outside its declared support.  Each key's anchor is
+    the dense set's pick inside ``anchor_region(key)``.
+    """
+
+    def eval_bump(key, x) -> float:
+        return bump(key, x) if support_of(key).contains(x) else 0.0
+
+    family = BumpFamily(index_keys=keys, eval=eval_bump, support_of=support_of)
+    return family, {key: dense.pick(anchor_region(key)) for key in keys}
+
+
 def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
     """Multilinear tent partitions on the mesh-(1/n) grid over a box.
 
@@ -218,9 +234,7 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
     face; bounds are node coordinates, so any point lies in at most 2^dim
     supports.  Each node's anchor is a dyadic point within 1/(2n) of the node.
     """
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _check_dim(dim)
     lo, hi = float(box[0]), float(box[1])
     side = hi - lo
     if not side > 0:
@@ -231,17 +245,9 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
     dense = dyadic_dense()
 
     def build_level(n: int):
-        h = 1.0 / n
         count = side * n  # nodes 0..count per axis
         axis_nodes = [lo + j / n for j in range(count + 1)]
-
-        def node_of(key):
-            return tuple(axis_nodes[j] for j in key)
-
-        keys = [()]
-        for _ in range(dim):
-            keys = [k + (j,) for k in keys for j in range(count + 1)]
-        keys = tuple(sorted(keys))
+        r = 0.5 / n
 
         def support_of(key):
             return SupportBox(
@@ -251,27 +257,18 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
                 tuple(j + 1 >= count for j in key),
             )
 
-        def eval_bump(key, x) -> float:
-            if not support_of(key).contains(x):
-                return 0.0
-            coords = np.atleast_1d(np.asarray(x, dtype=float))
+        def tent(key, x) -> float:
             value = 1.0
-            for v, c in zip(coords, node_of(key)):
-                value *= max(0.0, 1.0 - n * abs(v - c))
+            for v, j in zip(np.atleast_1d(np.asarray(x, dtype=float)), key):
+                value *= max(0.0, 1.0 - n * abs(v - axis_nodes[j]))
             return float(value)
 
-        family = BumpFamily(index_keys=keys, eval=eval_bump, support_of=support_of)
-        anchors = {}
-        r = 0.5 * h
-        for key in keys:
-            node = node_of(key)
-            region = SupportBox.box(
-                [max(c - r, lo) for c in node],
-                [min(c + r, hi) for c in node],
-            )
-            picked = dense.pick(region)
-            anchors[key] = float(picked) if dim == 1 else np.atleast_1d(np.asarray(picked, dtype=float))
-        return family, anchors
+        def node_box(key):
+            node = [axis_nodes[j] for j in key]
+            return SupportBox.box([max(c - r, lo) for c in node], [min(c + r, hi) for c in node])
+
+        keys = tuple(itertools.product(range(count + 1), repeat=dim))  # in key order
+        return _anchored_level(keys, support_of, tent, node_box, dense)
 
     describe = {
         "kind": "grid",
@@ -293,22 +290,12 @@ def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
     dense = dyadic_dense()
 
     def build_level(n: int):
-        keys = tuple((i,) for i in range(math.floor(lo * n) - 1, math.ceil(hi * n) + 2))
-
-        def support_of(key):
+        def tile(key):
             (i,) = key
             return SupportBox.interval((i - 1) / n, i / n, closed_lo=True, closed_hi=False)
 
-        def eval_bump(key, x) -> float:
-            return 1.0 if support_of(key).contains(x) else 0.0
-
-        family = BumpFamily(index_keys=keys, eval=eval_bump, support_of=support_of)
-        anchors = {}
-        for key in keys:
-            (i,) = key
-            region = SupportBox.interval(i / n, (i + 1) / n, closed_lo=True, closed_hi=False)
-            anchors[key] = float(dense.pick(region))
-        return family, anchors
+        keys = tuple((i,) for i in range(math.floor(lo * n) - 1, math.ceil(hi * n) + 2))
+        return _anchored_level(keys, tile, lambda key, x: 1.0, lambda key: tile((key[0] + 1,)), dense)
 
     describe = {
         "kind": "sorgenfrey",
@@ -322,8 +309,7 @@ def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
 def _anchor_in_neighborhood(space_kind: str, anchor, x, radius: float) -> bool:
     if space_kind == "sorgenfrey":
         return x <= anchor < x + radius
-    diff = np.atleast_1d(np.asarray(anchor, dtype=float)) - np.atleast_1d(np.asarray(x, dtype=float))
-    return float(np.linalg.norm(diff)) < radius
+    return _norm_metric(anchor, x) < radius
 
 
 def verify_anchoring(scheme: AnchoredScheme, x, radius: float) -> int:
@@ -445,9 +431,6 @@ def tail_convergence_oracle(eps: float = 1e-9, k: int = 3, mode: str = "euclidea
         tail = seq[-k:]
         if mode == "sorgenfrey":
             return all(x <= s and s - x <= eps for s in tail)
-        return all(
-            float(np.linalg.norm(np.atleast_1d(np.asarray(s, dtype=float)) - np.atleast_1d(np.asarray(x, dtype=float)))) <= eps
-            for s in tail
-        )
+        return all(_norm_metric(s, x) <= eps for s in tail)
 
     return oracle

@@ -63,6 +63,18 @@ def test_membership_predicates():
     assert wl.contains(123.0)
 
 
+@pytest.mark.parametrize(
+    "space, dim",
+    [(affine_line(1), 1), (affine_line(2), 2), (affine_space(0.0, 1.0), 1)],
+    ids=["line1", "line2", "unit_interval"],
+)
+def test_affine_membership_needs_finite_points_of_the_space_dim(space, dim):
+    assert space.contains(np.full(dim, 0.5))
+    for bad in (np.inf, -np.inf, np.nan):
+        assert not space.contains(np.full(dim, bad))
+    assert not space.contains(np.full(dim + 1, 0.5))
+
+
 def test_simplex_weights_validation():
     w = SimplexWeights((0.25, 0.25, 0.5))
     assert sum(w.weights) == 1.0

@@ -133,7 +133,7 @@ SCHEME_CONFIGS = {
 def test_operator_table_decides_what_parses(operator, kind, scheme):
     assert set(FUNCTION_OF_KIND) == {spec.kind for spec in REGISTRY.values()}
     fn_name, x = FUNCTION_OF_KIND[kind]
-    d = {"name": "combo", "function": fn_name, "operator": operator, "probes": [{"x": x, "y": 0.5}], "schedule": [1, 2]}
+    d = {"name": "combo", "function": fn_name, "operator": operator, "probes": [{"x": x, "y": 0.5}], "schedule": [1, 2, 4]}
     if scheme is not None:
         d["scheme"] = SCHEME_CONFIGS[scheme]
     op = OPERATORS[operator]
@@ -486,6 +486,10 @@ MALFORMED = {
     "box_x_space_without_lo": {"x_space": {"kind": "box", "hi": 1.0}},
     "probe_outside_the_scheme": {"x_space": {"kind": "real_line"}, "probes": [{"x": 3.0, "y": 0.5}]},
     "unknown_x_space_without_probes": {"x_space": {"kind": "sphere"}, "probes": []},
+    "grid_dim_not_an_integer": {"scheme": {"kind": "grid", "dim": 1.7, "lo": 0.0, "hi": 1.0}},
+    "z_dim_not_an_integer": {"z_space": {"kind": "line", "dim": 1.5}},
+    "schedule_shorter_than_the_tail": {"schedule": [1, 2]},
+    "scalar_function_with_list_x": {"function": "product", "probes": [{"x": [0.5], "y": 0.5}]},
 }
 
 
