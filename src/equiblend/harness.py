@@ -36,6 +36,7 @@ from .gallery import (
 )
 from .operators import (
     TAIL_K,
+    PartitionViolationError,
     SectionedFunction,
     anchored_cells,
     lambda_blend,
@@ -115,8 +116,15 @@ REGISTRY = {
 @dataclass(frozen=True)
 class SchemeSpec:
     required: tuple  # config keys the kind needs
+    optional: tuple  # further config keys it reads
     build: Callable  # (config, n_max) -> AnchoredScheme
     x_space: Callable  # config -> default x_space config
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    keys: tuple  # config keys the kind reads besides "kind"
+    build: Callable  # config -> built object
 
 
 # Entries call the constructors as module globals at call time, so a wrapper
@@ -124,20 +132,22 @@ class SchemeSpec:
 SCHEMES = {
     "grid": SchemeSpec(
         ("dim", "lo", "hi"),
+        (),
         lambda cfg, n_max: grid_scheme(cfg["dim"], (cfg["lo"], cfg["hi"]), n_max=n_max),
         lambda cfg: {"kind": "box", "dim": cfg["dim"], "lo": cfg["lo"], "hi": cfg["hi"]},
     ),
     "sorgenfrey": SchemeSpec(
         (),
+        ("domain",),
         lambda cfg, n_max: sorgenfrey_scheme(n_max=n_max, domain=tuple(cfg.get("domain", (0.0, 1.0)))),
         lambda cfg: {"kind": "half_open_line", "domain": list(cfg.get("domain", (0.0, 1.0)))},
     ),
 }
 
 Z_SPACES = {
-    "line": lambda cfg: affine_line(cfg.get("dim", 1)),
-    "affine": lambda cfg: affine_space(cfg.get("lo", 0.0), cfg.get("hi", 1.0), cfg.get("dim", 1)),
-    "warped": lambda cfg: warped_line(),
+    "line": KindSpec(("dim",), lambda cfg: affine_line(cfg.get("dim", 1))),
+    "affine": KindSpec(("lo", "hi", "dim"), lambda cfg: affine_space(cfg.get("lo", 0.0), cfg.get("hi", 1.0), cfg.get("dim", 1))),
+    "warped": KindSpec((), lambda cfg: warped_line()),
 }
 
 
@@ -148,6 +158,11 @@ Z_SPACES = {
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _only_keys(cfg: dict, keys: tuple, what: str) -> None:
+    unknown = set(cfg) - {"kind", *keys}
+    _require(not unknown, f"unknown {what} keys {sorted(unknown)!r}")
 
 
 def _as_number(v, message: str) -> float:
@@ -219,18 +234,20 @@ def _x_box(cfg: dict):
     return contains
 
 
-# kind -> (config -> membership predicate on parsed probe points)
+# kind -> (config keys, config -> membership predicate on parsed probe points)
 X_SPACES = {
-    "sequential_fan": lambda cfg: lambda x: isinstance(x, SequentialPoint),
-    "real_line": lambda cfg: lambda x: not isinstance(x, SequentialPoint),
-    "half_open_line": _x_half_open_line,
-    "box": _x_box,
+    "sequential_fan": KindSpec((), lambda cfg: lambda x: isinstance(x, SequentialPoint)),
+    "real_line": KindSpec((), lambda cfg: lambda x: not isinstance(x, SequentialPoint)),
+    "half_open_line": KindSpec(("domain",), _x_half_open_line),
+    "box": KindSpec(("lo", "hi", "dim"), _x_box),
 }
 
 
 def _x_space(cfg) -> Callable:
     _require(isinstance(cfg, dict) and isinstance(cfg.get("kind"), str) and cfg["kind"] in X_SPACES, f"bad x_space {cfg!r}; kinds are {', '.join(X_SPACES)}")
-    return X_SPACES[cfg["kind"]](cfg)
+    spec = X_SPACES[cfg["kind"]]
+    _only_keys(cfg, spec.keys, f"{cfg['kind']} x_space")
+    return spec.build(cfg)
 
 
 def _build(what: str, make: Callable, *args):
@@ -311,15 +328,19 @@ class Scenario:
         scheme = None
         if op.needs_scheme:
             _require(scheme_cfg["kind"] in SCHEMES, f"{operator} needs a {' or '.join(SCHEMES)} scheme")
-            for key in SCHEMES[scheme_cfg["kind"]].required:
+            scheme_spec = SCHEMES[scheme_cfg["kind"]]
+            for key in scheme_spec.required:
                 _require(key in scheme_cfg, f"{scheme_cfg['kind']} scheme needs {key!r}")
-            scheme = _build(f"{scheme_cfg['kind']} scheme", SCHEMES[scheme_cfg["kind"]].build, scheme_cfg, max(schedule))
+            _only_keys(scheme_cfg, scheme_spec.required + scheme_spec.optional, f"{scheme_cfg['kind']} scheme")
+            scheme = _build(f"{scheme_cfg['kind']} scheme", scheme_spec.build, scheme_cfg, max(schedule))
         else:
             _require(scheme_cfg["kind"] == "none", f"{operator} does not take a scheme")
+            _only_keys(scheme_cfg, (), "none scheme")
 
         z_cfg = data.get("z_space", {"kind": "line", "dim": 1})
         _require(isinstance(z_cfg, dict) and isinstance(z_cfg.get("kind"), str) and z_cfg["kind"] in Z_SPACES, f"bad z_space {z_cfg!r}")
-        z_space = _build(f"{z_cfg['kind']} z_space", Z_SPACES[z_cfg["kind"]], z_cfg)
+        _only_keys(z_cfg, Z_SPACES[z_cfg["kind"]].keys, f"{z_cfg['kind']} z_space")
+        z_space = _build(f"{z_cfg['kind']} z_space", Z_SPACES[z_cfg["kind"]].build, z_cfg)
         _require(z_space.point_dim == 1, f"z_space dim must be 1, got {z_space.point_dim}: every registered function is scalar-valued")
 
         eps = data.get("eps", DEFAULT_EPS)
@@ -343,6 +364,15 @@ class Scenario:
             _require(all(contains(x) for contains in domains), f"probe {index}: x {probe['x']!r} lies outside the x_space or the scheme's domain")
             _require(np.ndim(x) == 0 or not spec.scalar_x, f"probe {index}: {fn_name} takes a scalar x, not {probe['x']!r}")
             parsed.append((x, _parse_y(probe["y"])))
+        function = spec.make()
+        if spec.kind == "ambiguous":
+            # the limit is defined only where some cell's core captures x
+            target = function.target()
+            for index, (x, y) in enumerate(parsed):
+                try:
+                    target(x, y)
+                except PartitionViolationError as exc:
+                    raise ConfigError(f"probe {index}: {exc}") from exc
         return cls(
             name=name,
             fn_name=fn_name,
@@ -355,7 +385,7 @@ class Scenario:
             schedule=schedule,
             eps=eps,
             rng_seed=int(rng_seed),
-            function=spec.make(),
+            function=function,
             scheme=scheme,
             z_space=z_space,
         )

@@ -149,7 +149,7 @@ def anchored_cells(scheme: AnchoredScheme, n: int) -> CoverCellPartition:
     """Disjointified cells of a scheme level's supports, in key order; cell
     keys are scheme keys, so ``scheme.anchor`` gives the cell anchors."""
     family = scheme.family(n)
-    return disjointify([(key, family.support_of(key).contains) for key in family.index_keys])
+    return disjointify([(key, lambda x, key=key: family.support_of(key).contains(x)) for key in family.index_keys], family.active_keys)
 
 
 def piecewise_anchor(f: SectionedFunction, cells: CoverCellPartition, anchor_of_cell, n: int):
@@ -228,12 +228,16 @@ def ambiguous_limit(c: Contraction, cells: Sequence[AmbiguousCell], n: int):
 
 def ambiguous_target(cells: Sequence[AmbiguousCell], n_cap: int = 4096):
     """The pointwise limit: on the cell whose core eventually captures x, the
-    cell tower's limit section; undefined (raises) off every cell."""
+    cell tower's limit section; undefined (raises) off every cell.
+
+    Levels are tried in increasing order, all cells at each: cores of
+    different cells are disjoint, so the first capture names the cell."""
 
     def target(x, y):
-        for cell in cells:
-            if any(cell.core_region(n).contains(x) for n in range(1, n_cap + 1)):
-                return cell.tower.limit_eval(y)
+        for n in range(1, n_cap + 1):
+            for cell in cells:
+                if cell.core_region(n).contains(x):
+                    return cell.tower.limit_eval(y)
         raise PartitionViolationError(f"point {x!r} escapes every cell core up to n_cap={n_cap}")
 
     return target

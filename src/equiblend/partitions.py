@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -58,19 +59,17 @@ class SupportBox:
         return len(self.lo)
 
     def contains(self, x) -> bool:
+        """Whether x lies in the box.  Every comparison must hold for
+        membership, so a nan coordinate, which fails them all, is in no box."""
         if len(self.lo) == 1 and isinstance(x, (int, float)):
             v = float(x)
             lo, hi = self.lo[0], self.hi[0]
-            if v < lo or (v == lo and not self.closed_lo[0]):
-                return False
-            return not (v > hi or (v == hi and not self.closed_hi[0]))
+            return (v > lo or (v == lo and self.closed_lo[0])) and (v < hi or (v == hi and self.closed_hi[0]))
         coords = np.atleast_1d(np.asarray(x, dtype=float))
         if coords.size != self.dim:
             return False
         for v, lo, hi, clo, chi in zip(coords, self.lo, self.hi, self.closed_lo, self.closed_hi):
-            if v < lo or (v == lo and not clo):
-                return False
-            if v > hi or (v == hi and not chi):
+            if not ((v > lo or (v == lo and clo)) and (v < hi or (v == hi and chi))):
                 return False
         return True
 
@@ -99,15 +98,19 @@ class BumpFamily:
 
     ``eval(key, x)`` is exactly 0.0 whenever x falls outside
     ``support_of(key)``; families here are finite, so local finiteness holds
-    with the whole space as witness neighborhood.
+    with the whole space as witness neighborhood.  ``candidates(x)``, when
+    given, lists in key order a superset of the keys whose support holds x,
+    so a lookup tests those supports only instead of every key's.
     """
 
     index_keys: tuple
     eval: Callable[[Key, object], float]
     support_of: Callable[[Key], SupportBox]
+    candidates: Callable[[object], Iterable] | None = None
 
     def active_keys(self, x) -> list:
-        return [k for k in self.index_keys if self.support_of(k).contains(x)]
+        keys = self.index_keys if self.candidates is None else self.candidates(x)
+        return [k for k in keys if self.support_of(k).contains(x)]
 
     def weights_at(self, x) -> list:
         """(key, bump value) over supports containing x, in key order."""
@@ -210,19 +213,71 @@ class AnchoredScheme:
         return dict(self._describe)
 
 
-def _anchored_level(keys: tuple, support_of, bump, anchor_region, dense: DenseSet):
-    """One scheme level: the bump family over ``keys`` and its anchors.
+class _LazyAnchors(Mapping):
+    """A level's anchors, each picked from the dense set on first access and
+    kept.  Iteration and length go over every key of the level, in key
+    order; a key is a member when each coordinate lies in its axis range.
+
+    The dyadic pick is pure, so a lazy pick equals the eager one.  A
+    stateful dense set (``dense_from_iterable``) would make picks depend on
+    the access order; no scheme uses one.
+    """
+
+    def __init__(self, keys: tuple, axes: tuple, pick):
+        self._keys = keys
+        self._axes = axes
+        self._pick = pick  # key -> anchor
+        self._picked: dict = {}
+
+    def __getitem__(self, key):
+        try:
+            return self._picked[key]
+        except KeyError:
+            axes = self._axes
+            if not (isinstance(key, tuple) and len(key) == len(axes) and all(j in axis for j, axis in zip(key, axes))):
+                raise
+        anchor = self._picked[key] = self._pick(key)
+        return anchor
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+def _near_keys(axes: tuple, origin: float, n: int, below: int, above: int, x):
+    """Keys within floor(t)-below .. floor(t)+above of t = (v - origin)*n on
+    every axis, clipped to the axis ranges, in key order; none when x has
+    the wrong size or a non-finite coordinate."""
+    coords = (x,) if isinstance(x, (int, float)) else np.ravel(np.asarray(x, dtype=float)).tolist()
+    if len(coords) != len(axes):
+        return ()
+    ranges = []
+    for v, axis in zip(coords, axes):
+        t = (v - origin) * n
+        if not math.isfinite(t):
+            return ()
+        f = math.floor(t)
+        ranges.append(range(max(f - below, axis.start), min(f + above + 1, axis.stop)))
+    return itertools.product(*ranges)
+
+
+def _anchored_level(axes: tuple, support_of, bump, anchor_region, dense: DenseSet, candidates):
+    """One scheme level: the bump family over the keys of the product of the
+    integer ranges ``axes``, and its anchors.
 
     ``bump(key, x)`` is only called on points of ``support_of(key)``, so each
     bump is exactly 0.0 outside its declared support.  Each key's anchor is
-    the dense set's pick inside ``anchor_region(key)``.
+    the dense set's pick inside ``anchor_region(key)``, made on first use.
     """
 
     def eval_bump(key, x) -> float:
         return bump(key, x) if support_of(key).contains(x) else 0.0
 
-    family = BumpFamily(index_keys=keys, eval=eval_bump, support_of=support_of)
-    return family, {key: dense.pick(anchor_region(key)) for key in keys}
+    keys = tuple(itertools.product(*axes))  # in key order
+    family = BumpFamily(index_keys=keys, eval=eval_bump, support_of=support_of, candidates=candidates)
+    return family, _LazyAnchors(keys, axes, lambda key: dense.pick(anchor_region(key)))
 
 
 def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
@@ -267,8 +322,10 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
             node = [axis_nodes[j] for j in key]
             return SupportBox.box([max(c - r, lo) for c in node], [min(c + r, hi) for c in node])
 
-        keys = tuple(itertools.product(range(count + 1), repeat=dim))  # in key order
-        return _anchored_level(keys, support_of, tent, node_box, dense)
+        axes = (range(count + 1),) * dim
+        # nodes floor(t)-1 .. floor(t)+2 for t = (v - lo)*n: float rounding
+        # of t cannot drop a support holding x
+        return _anchored_level(axes, support_of, tent, node_box, dense, partial(_near_keys, axes, lo, n, 1, 2))
 
     describe = {
         "kind": "grid",
@@ -294,8 +351,10 @@ def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
             (i,) = key
             return SupportBox.interval((i - 1) / n, i / n, closed_lo=True, closed_hi=False)
 
-        keys = tuple((i,) for i in range(math.floor(lo * n) - 1, math.ceil(hi * n) + 2))
-        return _anchored_level(keys, tile, lambda key, x: 1.0, lambda key: tile((key[0] + 1,)), dense)
+        axes = (range(math.floor(lo * n) - 1, math.ceil(hi * n) + 2),)
+        # x lies in tile floor(x*n)+1, up to float rounding of x*n
+        near = partial(_near_keys, axes, 0.0, n, 0, 2)
+        return _anchored_level(axes, tile, lambda key, x: 1.0, lambda key: tile((key[0] + 1,)), dense, near)
 
     describe = {
         "kind": "sorgenfrey",
@@ -347,13 +406,21 @@ def pointwise_finiteness(families: Sequence[BumpFamily], x) -> int:
 
 @dataclass(frozen=True)
 class CoverCellPartition:
-    """Pairwise-disjoint indexed cells; each covered point lies in exactly one."""
+    """Pairwise-disjoint indexed cells; each covered point lies in exactly one.
+
+    With ``first_of(x)``, which lists in key order the keys of the cover sets
+    holding x, the cell is the first of them, and no cell predicate runs.
+    """
 
     cells: tuple  # ((key, membership predicate), ...)
     provenance: str  # "disjointified" | "supplied"
+    first_of: Callable[[object], Sequence] | None = None
 
     def cell_of(self, x):
-        hits = [key for key, member in self.cells if member(x)]
+        if self.first_of is not None:
+            hits = self.first_of(x)[:1]
+        else:
+            hits = [key for key, member in self.cells if member(x)]
         if len(hits) == 1:
             return hits[0]
         if not hits:
@@ -364,9 +431,11 @@ class CoverCellPartition:
         return tuple(key for key, _ in self.cells)
 
 
-def disjointify(cover: Sequence) -> CoverCellPartition:
+def disjointify(cover: Sequence, first_of=None) -> CoverCellPartition:
     """First-containing-index refinement of an ordered cover: cell k keeps the
-    points of set k not claimed by any earlier set."""
+    points of set k not claimed by any earlier set.  ``first_of(x)``, when
+    given, lists in cover order the keys of the sets holding x, so
+    ``cell_of`` reads the first one instead of running the predicate chain."""
     items = [(_as_key(key), member) for key, member in cover]
     if not items:
         raise CoverError("cover is empty")
@@ -378,7 +447,7 @@ def disjointify(cover: Sequence) -> CoverCellPartition:
 
         return cell_member
 
-    return CoverCellPartition(tuple((key, cell(idx)) for idx, (key, _) in enumerate(items)), "disjointified")
+    return CoverCellPartition(tuple((key, cell(idx)) for idx, (key, _) in enumerate(items)), "disjointified", first_of)
 
 
 def supplied_partition(cells: Sequence) -> CoverCellPartition:

@@ -25,6 +25,14 @@ SCENARIOS = {
         "probes": [{"x": [0.3, -0.2], "y": 0.5}],
         "schedule": [1, 2, 4],
     },
+    "anchor_sorgenfrey": {
+        "function": "sine_sum",
+        "operator": "piecewise_anchor",
+        "scheme": {"kind": "sorgenfrey", "domain": [0.0, 1.0]},
+        "z_space": LINE,
+        "probes": [{"x": 0.3, "y": 0.5}],
+        "schedule": [1, 2, 4],
+    },
     "blend1": {
         "function": "sine_sum",
         "operator": "lambda_blend",
@@ -62,11 +70,13 @@ print(json.dumps({name: summary["spans"].get(name, {}).get("calls", 0) or summar
 """
 
 
-def test_every_required_span_records(tmp_path):
+def _recorded(tmp_path, names) -> dict:
+    """Calls or counts of every required span and counter after a traced
+    suite over the named scenarios."""
     suite = tmp_path / "suite"
     suite.mkdir()
-    for name, fields in SCENARIOS.items():
-        (suite / f"{name}.json").write_text(json.dumps({"name": name, **fields}))
+    for name in names:
+        (suite / f"{name}.json").write_text(json.dumps({"name": name, **SCENARIOS[name]}))
     out = subprocess.run(
         [sys.executable, "-c", TRACED_SUITE, str(ROOT), str(suite), str(tmp_path / "report.json")],
         capture_output=True,
@@ -74,5 +84,16 @@ def test_every_required_span_records(tmp_path):
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    recorded = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_every_required_span_records(tmp_path):
+    recorded = _recorded(tmp_path, SCENARIOS)
     assert [name for name, calls in recorded.items() if not calls] == []
+
+
+def test_sorgenfrey_cell_lookup_records(tmp_path):
+    # the probes workload's piecewise_anchor runs on a Sorgenfrey scheme, so
+    # its cell lookup must record without a grid scenario beside it
+    recorded = _recorded(tmp_path, ["anchor_sorgenfrey"])
+    assert [name for name in ("partitions.cell_of", "partitions.contains", "partitions.disjointify") if not recorded[name]] == []

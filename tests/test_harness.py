@@ -490,6 +490,17 @@ MALFORMED = {
     "z_dim_not_an_integer": {"z_space": {"kind": "line", "dim": 1.5}},
     "schedule_shorter_than_the_tail": {"schedule": [1, 2]},
     "scalar_function_with_list_x": {"function": "product", "probes": [{"x": [0.5], "y": 0.5}]},
+    "ambiguous_probe_no_core_captures": {
+        "function": "half_line_split",
+        "operator": "ambiguous_limit",
+        "scheme": {"kind": "none"},
+        "probes": [{"x": -0.0001, "y": 0.5}],
+    },
+    "warped_z_with_dim": {"z_space": {"kind": "warped", "dim": 2}},
+    "line_z_with_hi": {"z_space": {"kind": "line", "hi": "x"}},
+    "grid_scheme_with_n": {"scheme": {"kind": "grid", "dim": 1, "lo": 0.0, "hi": 1.0, "n": 5}},
+    "sorgenfrey_scheme_with_dim": {"scheme": {"kind": "sorgenfrey", "dim": 3}},
+    "box_x_space_with_extra_key": {"x_space": {"kind": "box", "lo": 0.0, "hi": 1.0, "side": 2}},
 }
 
 

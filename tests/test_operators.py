@@ -233,6 +233,29 @@ def test_ambiguous_target_cap_violation():
         capped(-0.1, 0.0)
 
 
+def _cells_outer_target(cells, n_cap, x, y):
+    # reference: every level of one cell before the next cell
+    for cell in cells:
+        if any(cell.core_region(n).contains(x) for n in range(1, n_cap + 1)):
+            return cell.tower.limit_eval(y)
+    return None
+
+
+def test_ambiguous_target_levels_outer_matches_cells_outer():
+    cells = half_line_instance().cells
+    n_cap = 64
+    target = ambiguous_target(cells, n_cap=n_cap)
+    edges = [v for n in (1, 2, 3, 7, 64) for v in (np.nextafter(-1.0 / n, -1.0), -1.0 / n, np.nextafter(-1.0 / n, 1.0))]
+    xs = [*np.linspace(-3.0, 8.0, 221).tolist(), *edges, -0.0, 0.0, np.nextafter(0.0, -1.0), 5e-324, 8.0, 64.0, 64.5]
+    for x in xs:
+        expected = _cells_outer_target(cells, n_cap, x, 0.3)
+        if expected is None:
+            with pytest.raises(PartitionViolationError):
+                target(x, 0.3)
+        else:
+            assert target(x, 0.3) == expected
+
+
 def test_ambiguous_limit_rejects_region_overlap():
     c = straight_line_contraction()
     tower = BaireTower(

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from equiblend import partitions
+from equiblend.connectors import affine_line
+from equiblend.operators import SectionedFunction, anchored_cells, lambda_blend
 from equiblend.partitions import (
     AnchoredScheme,
     AnchoringError,
@@ -40,6 +44,9 @@ def test_interval_edge_membership():
     closed = SupportBox.interval(-0.5, 0.5)
     assert closed.contains(0.5)
     assert closed.contains(-0.5)
+    # nan fails every comparison, so it lies in no interval
+    assert not closed.contains(float("nan"))
+    assert not SupportBox.interval(float("-inf"), float("inf")).contains(np.float64("nan"))
 
 
 def test_box_membership_dim2():
@@ -48,6 +55,8 @@ def test_box_membership_dim2():
     assert b.contains([0.5, 2.0])
     assert not b.contains([1.0, 1.0])
     assert not b.contains([0.5, 2.5])
+    assert not b.contains([np.nan, 1.0])
+    assert not b.contains([0.5, np.nan])
 
 
 def test_meets_respects_open_faces():
@@ -105,15 +114,16 @@ def test_grid_partition_of_unity():
                 assert abs(total - 1.0) <= 1e-12
                 assert len(fam.active_keys(x)) <= 2 ** dim
     # adversarial floats: every node and its 1-ulp neighbours inside the box,
-    # on non-dyadic meshes; dim 2 pairs them against the reversed list so
-    # both coordinates sit at a node edge
-    for dim, ns in ((1, (3, 7, 10, 49, 199)), (2, (3, 7, 10))):
+    # on non-dyadic meshes; dims 2 and 3 pair them against the reversed and
+    # the rotated list so every coordinate sits at a node edge
+    for dim, ns in ((1, (3, 7, 10, 49, 199)), (2, (3, 7, 10, 49, 199)), (3, (3, 7))):
         scheme = grid_scheme(dim, box=(-1.0, 1.0), n_max=max(ns))
         for n in ns:
             fam = scheme.family(n)
             nodes = [-1.0 + j / n for j in range(2 * n + 1)]
             coords = [v for c in nodes for v in (np.nextafter(c, -2.0), c, np.nextafter(c, 2.0)) if -1.0 <= v <= 1.0]
-            points = coords if dim == 1 else [np.array(p) for p in zip(coords, reversed(coords))]
+            axes = (coords, coords[::-1], coords[1:] + coords[:1])[:dim]
+            points = coords if dim == 1 else [np.array(p) for p in zip(*axes)]
             for x in points:
                 weights = [w for _, w in fam.weights_at(x)]  # what partition_sum adds up
                 assert abs(sum(weights) - 1.0) <= 1e-12
@@ -227,6 +237,117 @@ def test_pointwise_finiteness_bound():
     fams = [grid.family(n) for n in (1, 2, 3, 4)]
     worst = pointwise_finiteness(fams, np.array([0.31, 0.77]))
     assert 1 <= worst <= 4
+
+
+# ------------------------------------------------- candidate lookup, anchors
+
+
+def _edge_coords(lo: float, hi: float, n: int) -> list:
+    """Nodes and their 1-ulp neighbours, the box faces and points outside."""
+    nodes = [lo + j / n for j in range(round((hi - lo) * n) + 1)]
+    near = [v for c in nodes for v in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))]
+    return near + [lo - 0.5, hi + 0.5, -np.inf, np.inf]
+
+
+def _lookup_cases():
+    for dim, ns in ((1, (3, 7, 10, 49)), (2, (3, 7)), (3, (3,))):
+        scheme = grid_scheme(dim, box=(-1.0, 2.0), n_max=max(ns))
+        for n in ns:
+            coords = _edge_coords(-1.0, 2.0, n)
+            if dim == 1:
+                points = coords
+            else:
+                axes = (coords, coords[::-1], coords[1:] + coords[:1])[:dim]
+                points = [np.array(p) for p in zip(*axes)]
+                points += [np.array([v] + [0.5] * (dim - 1)) for v in coords]
+            yield scheme, n, [*points, float("nan"), np.full(dim, np.nan)]
+    scheme = sorgenfrey_scheme(n_max=1024, domain=(-0.5, 1.0))
+    for n in (1, 3, 7, 10, 1024):
+        edges = {*range(-n - 2, n + 3, 1 + n // 16), n // 2 - 1, n, n + 1, n + 2}  # sparse on the finest mesh
+        coords = [v for i in sorted(edges) for v in (np.nextafter(i / n, -np.inf), i / n, np.nextafter(i / n, np.inf))]
+        yield scheme, n, [*coords, -5.0, 5.0, float("nan"), np.array([0.25])]
+
+
+def test_candidate_lookup_matches_the_full_scan():
+    # the index-arithmetic lookup against every key's support, and the
+    # scheme's cell lookup against the generic disjointified chain
+    for scheme, n, points in _lookup_cases():
+        fam = scheme.family(n)
+        cells = anchored_cells(scheme, n)
+        chain = disjointify([(k, fam.support_of(k).contains) for k in fam.index_keys])
+        for x in points:
+            assert fam.active_keys(x) == [k for k in fam.index_keys if fam.support_of(k).contains(x)]
+            if len(fam.index_keys) > 500:
+                continue  # the chain costs O(#keys) per point
+            try:
+                expected = chain.cell_of(x)
+            except CoverError:
+                with pytest.raises(CoverError):
+                    cells.cell_of(x)
+            else:
+                assert cells.cell_of(x) == expected
+
+
+def test_nan_lies_in_no_support():
+    fam = grid_scheme(2, box=(0.0, 1.0), n_max=8).family(8)
+    assert [k for k in fam.index_keys if fam.support_of(k).contains(np.array([np.nan, 0.5]))] == []
+    assert fam.active_keys(np.array([np.nan, 0.5])) == []
+
+
+def _counted_picks(monkeypatch) -> list:
+    picks = []
+    dyadic = partitions.dyadic_dense
+
+    def counted():
+        dense = dyadic()
+        return dataclasses.replace(dense, pick=lambda region: picks.append(region) or dense.pick(region))
+
+    monkeypatch.setattr(partitions, "dyadic_dense", counted)
+    return picks
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_blend_term_picks_only_the_anchors_it_reads(monkeypatch, dim):
+    picks = _counted_picks(monkeypatch)
+    scheme = grid_scheme(dim, box=(-1.0, 1.0), n_max=16)
+    f = SectionedFunction.from_callable(lambda x, y: 0.5)
+    x = np.array([0.3, -0.21, 0.05][:dim]) if dim > 1 else 0.3
+    for n in (1, 7, 16):
+        before = len(picks)
+        term = lambda_blend(f, scheme, affine_line(1), n)
+        term(x, 0.0)
+        assert len(picks) - before <= 2 ** dim
+        after = len(picks)
+        term(x, 0.0)
+        assert len(picks) == after
+
+
+def test_lazy_anchors_equal_the_eager_picks(monkeypatch):
+    picks = _counted_picks(monkeypatch)
+    dense = dyadic_dense()
+    for dim, n in ((1, 7), (2, 3)):
+        scheme = grid_scheme(dim, box=(-1.0, 1.0), n_max=8)
+        eager = {}
+        for key in scheme.family(n).index_keys:
+            node = [-1.0 + j / n for j in key]
+            region = SupportBox.box([max(c - 0.5 / n, -1.0) for c in node], [min(c + 0.5 / n, 1.0) for c in node])
+            eager[key] = dense.pick(region)
+        picked = len(picks)
+        lazy = scheme.anchor_map(n)
+        assert len(picks) - picked == len(eager)
+        assert list(lazy) == list(eager)
+        assert all(np.asarray(lazy[k]).tobytes() == np.asarray(eager[k]).tobytes() for k in eager)
+        assert scheme.anchor_map(n) == lazy  # picked once, then kept
+        assert len(picks) - picked == len(eager)
+        for foreign in ((2 * n + 1,) * dim, (-1,) * dim, (0,) * (dim + 1)):
+            with pytest.raises(KeyError):
+                scheme.anchor(n, foreign)
+    scheme = sorgenfrey_scheme(n_max=8)
+    for n in (3, 8):
+        anchors = scheme.anchor_map(n)
+        assert anchors == {key: dense.pick(SupportBox.interval(key[0] / n, (key[0] + 1) / n, closed_hi=False)) for key in scheme.family(n).index_keys}
+        with pytest.raises(KeyError):
+            scheme.anchor(n, (n + 2,))
 
 
 # ------------------------------------------------------------------- covers
