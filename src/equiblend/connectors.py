@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Sequence
 
-import numpy as np
-
-Point = "float | np.ndarray"
+Point = "float | tuple"
 Key = tuple
 
 # validation slack before weights are renormalised
@@ -30,10 +30,18 @@ class FamilyError(ValueError):
     pass
 
 
+def _coords(p) -> tuple:
+    """A point's coordinates as floats: a number, numpy scalar or 0-d array
+    is one coordinate; a tuple, list or array is read by iterating over it."""
+    if isinstance(p, (int, float)) or getattr(p, "ndim", 1) == 0 or not hasattr(p, "__iter__"):
+        return (float(p),)
+    return tuple(map(float, p))
+
+
 def _points_equal(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return bool(np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
-    return a == b
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return a == b
+    return _coords(a) == _coords(b)
 
 
 def _check_dim(dim) -> None:
@@ -42,7 +50,11 @@ def _check_dim(dim) -> None:
 
 
 def _norm_metric(a, b) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+    """Euclidean distance.  ``abs`` and ``math.dist`` scale the difference,
+    so tiny and huge distances neither underflow to 0 nor overflow."""
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return abs(float(a) - float(b))
+    return math.dist(_coords(a), _coords(b))
 
 
 @dataclass(frozen=True)
@@ -90,12 +102,16 @@ def affine_space(lo, hi, dim: int = 1, name: str = "") -> ConnectorSpace:
     _check_dim(dim)
 
     def contains(p) -> bool:
-        arr = np.atleast_1d(np.asarray(p, dtype=float))
-        if arr.size != dim or not np.all(np.isfinite(arr)):
+        try:
+            coords = _coords(p)
+        except (TypeError, ValueError):  # None, or not numbers
             return False
-        return bool(np.all(arr >= lo - 1e-9) and np.all(arr <= hi + 1e-9))
+        return len(coords) == dim and all(math.isfinite(v) and lo - 1e-9 <= v <= hi + 1e-9 for v in coords)
 
     def raw(x, y, t):
+        if isinstance(x, (tuple, list)) or isinstance(y, (tuple, list)):
+            return tuple((1.0 - t) * a + t * b for a, b in zip(_coords(x), _coords(y)))
+        # numbers, and arrays with their own elementwise arithmetic
         return (1.0 - t) * x + t * y
 
     return ConnectorSpace(
@@ -116,27 +132,32 @@ def _h(u: float) -> float:
     return u * u * u + u
 
 
-def _h_inv(w: float) -> float:
-    # u^3 + u - w = 0 has a single real root (discriminant is always negative)
-    s = math.sqrt(0.25 * w * w + 1.0 / 27.0)
-    u = float(np.cbrt(0.5 * w + s) + np.cbrt(0.5 * w - s))
-    for _ in range(2):  # Newton polish to machine precision
-        u -= (u * u * u + u - w) / (3.0 * u * u + 1.0)
-    return u
-
-
 def warped_line(name: str = "warped_line") -> ConnectorSpace:
     """Connector on the real line pulled back through h(u) = u^3 + u.
 
     ``connect(x, y, t) = h^-1((1-t) h(x) + t h(y))``; h is strictly increasing
-    so the inverse is well defined everywhere.
+    so the inverse is well defined everywhere.  Building one imports numpy.
     """
+    # numpy.cbrt, not math.cbrt: numpy may dispatch cbrt to a SIMD kernel
+    # (AVX-512 on x86-64) whose last bit differs from libm's on about half of
+    # all inputs, and the difference survives the Newton polish in about 2%
+    # of inverses.  So warped values, and the benchmark's stored warped probe
+    # values, depend on the CPU features numpy dispatches to.
+    from numpy import cbrt
+
+    def h_inv(w: float) -> float:
+        # u^3 + u - w = 0 has a single real root (discriminant is always negative)
+        s = math.sqrt(0.25 * w * w + 1.0 / 27.0)
+        u = float(cbrt(0.5 * w + s) + cbrt(0.5 * w - s))
+        for _ in range(2):  # Newton polish to machine precision
+            u -= (u * u * u + u - w) / (3.0 * u * u + 1.0)
+        return u
 
     def contains(p) -> bool:
         return isinstance(p, (int, float)) and math.isfinite(float(p))
 
     def raw(x, y, t):
-        return _h_inv((1.0 - t) * _h(float(x)) + t * _h(float(y)))
+        return h_inv((1.0 - t) * _h(float(x)) + t * _h(float(y)))
 
     return ConnectorSpace(
         point_dim=1,
@@ -147,21 +168,49 @@ def warped_line(name: str = "warped_line") -> ConnectorSpace:
     )
 
 
-def _clean_weights(values) -> np.ndarray:
-    w = np.asarray(values, dtype=float)
-    if w.ndim != 1 or w.size < 1:
-        raise WeightError("weights must be a nonempty 1-d sequence")
-    if np.any(w < -WEIGHT_ATOL):
-        raise WeightError("negative weight beyond tolerance")
-    if np.any(w > 1.0 + WEIGHT_ATOL):
-        raise WeightError("weight above 1 beyond tolerance")
-    w = np.where(w < 0.0, 0.0, w)
-    s = float(w.sum())
-    if abs(s - 1.0) > WEIGHT_ATOL:
+def _numpy_sum(w: tuple) -> float:
+    """The sum of w in numpy's order for a float64 array (pairwise
+    summation): sequential below 8 entries, 8 strided partial sums up to
+    128, and halves (the first a multiple of 8) above that.  So weights
+    renormalise to the same bits as ``w / np.sum(w)``."""
+    n = len(w)
+    if n < 8:
+        s = 0.0
+        for v in w:
+            s += v
+        return s
+    if n <= 128:
+        stop = n - n % 8
+        r = [reduce(add, w[j:stop:8]) for j in range(8)]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in w[stop:]:
+            s += v
+        return s
+    half = n // 2 - n // 2 % 8
+    return _numpy_sum(w[:half]) + _numpy_sum(w[half:])
+
+
+def _normalised(w: tuple) -> tuple:
+    """w divided by its sum, which must be 1 within WEIGHT_ATOL; returned
+    as is when the sum is exactly 1."""
+    s = _numpy_sum(w)
+    if not abs(s - 1.0) <= WEIGHT_ATOL:
         raise WeightError(f"weights sum to {s!r}, not 1 within {WEIGHT_ATOL}")
-    if s != 1.0:
-        w = w / s
-    return w
+    return w if s == 1.0 else tuple(v / s for v in w)
+
+
+def _clean_weights(values) -> tuple:
+    try:
+        w = tuple(map(float, values))
+    except (TypeError, ValueError) as exc:
+        raise WeightError("weights must be a nonempty 1-d sequence of numbers") from exc
+    if not w:
+        raise WeightError("weights must be a nonempty 1-d sequence of numbers")
+    if any(v < -WEIGHT_ATOL for v in w):
+        raise WeightError("negative weight beyond tolerance")
+    if any(v > 1.0 + WEIGHT_ATOL for v in w):
+        raise WeightError("weight above 1 beyond tolerance")
+    return _normalised(tuple(0.0 if v < 0.0 else v for v in w))
 
 
 @dataclass(frozen=True)
@@ -172,19 +221,28 @@ class SimplexWeights:
     0.0 entry stays 0.0 and the recursion's zero branch remains reachable.
     """
 
-    weights: np.ndarray
+    weights: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _clean_weights(self.weights))
 
     def __len__(self) -> int:
-        return int(self.weights.size)
+        return len(self.weights)
 
 
-def _check_point(space: ConnectorSpace, p) -> None:
-    size = np.atleast_1d(np.asarray(p, dtype=float)).size
-    if size != space.point_dim:
-        raise WeightError(f"point of dimension {size} in a {space.point_dim}-dimensional space")
+def _fold(space: ConnectorSpace, points: list, weights: tuple) -> Point:
+    for p in points:
+        size = len(_coords(p))
+        if size != space.point_dim:
+            raise WeightError(f"point of dimension {size} in a {space.point_dim}-dimensional space")
+    point, total = points[0], weights[0]
+    for q, v in zip(points[1:], weights[1:]):
+        s = total + v
+        if s == 0.0:
+            point, total = q, v
+        else:
+            point, total = space.connect(point, q, v / s), s
+    return point
 
 
 def convex_combination(space: ConnectorSpace, points: Sequence, weights) -> Point:
@@ -198,20 +256,9 @@ def convex_combination(space: ConnectorSpace, points: Sequence, weights) -> Poin
     """
     w = weights.weights if isinstance(weights, SimplexWeights) else _clean_weights(weights)
     pts = list(points)
-    if len(pts) != int(w.size):
-        raise WeightError(f"{len(pts)} points with {int(w.size)} weights")
-    for p in pts:
-        _check_point(space, p)
-    vals = [float(v) for v in w]
-    while len(pts) > 1:
-        s = vals[0] + vals[1]
-        if s == 0.0:
-            pts = pts[1:]
-            vals = vals[1:]
-        else:
-            pts = [space.connect(pts[0], pts[1], vals[1] / s)] + pts[2:]
-            vals = [s] + vals[2:]
-    return pts[0]
+    if len(pts) != len(w):
+        raise WeightError(f"{len(pts)} points with {len(w)} weights")
+    return _fold(space, pts, w)
 
 
 def _as_key(key) -> Key:
@@ -256,13 +303,12 @@ class OrderedWeightFamily:
 
 def lambda_sum(space: ConnectorSpace, family: OrderedWeightFamily) -> Point:
     """Connector sum of a family: fold the nonzero-weight entries, in key
-    order, through :func:`convex_combination`."""
+    order, as :func:`convex_combination` does.  The family has checked each
+    weight, so the weights are only renormalised."""
     live = family.support()
     if not live:
         raise FamilyError("family has empty nonzero support")
-    pts = [p for _, _, p in live]
-    w = SimplexWeights(np.array([wt for _, wt, _ in live]))
-    return convex_combination(space, pts, w)
+    return _fold(space, [p for _, _, p in live], _normalised(tuple(w for _, w, _ in live)))
 
 
 @dataclass(frozen=True)
@@ -326,7 +372,7 @@ class HullWitness:
     found: bool
     distance: float
     points: tuple | None
-    weights: np.ndarray | None
+    weights: Sequence | None
     value: Point | None
     trials: int
 
@@ -348,7 +394,8 @@ def iterated_hull_contains(
     a positive with a witness when some combination comes within ``tol`` of
     the probe; a negative is only evidence of absence.
     """
-    # imported here so that importing the package does not load scipy
+    # imported here so that importing the package loads neither numpy nor scipy
+    import numpy as np
     from scipy.optimize import minimize
 
     seeds = list(seed_points)

@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .connectors import Contraction, straight_line_contraction
 from .operators import AmbiguousCell, BaireTower, SectionedFunction, ambiguous_limit, ambiguous_target
 from .partitions import SupportBox
@@ -563,9 +561,15 @@ def slice_modulus(y, deltas: Sequence[float], samples: int = 41, n_terms_cap: in
         delta = float(delta)
         if not delta > 0:
             raise ValueError("deltas must be positive")
+        # numpy.linspace's grid, endpoint exact
+        count = int(samples)
+        step = 2.0 * delta / (count - 1) if count > 1 else 0.0
+        ts = [i * step - delta for i in range(count)]
+        if count > 1:
+            ts[-1] = delta
         worst = 0.0
-        for t in np.linspace(-delta, delta, int(samples)):
-            x = FinSeq.from_list([float(t)])
+        for t in ts:
+            x = FinSeq.from_list([t])
             worst = max(worst, abs(example2_eval(x, y, n_terms_cap) - base))
         out.append(worst)
     return tuple(out)

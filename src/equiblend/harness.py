@@ -21,9 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .connectors import affine_line, affine_space, warped_line
+from .connectors import _coords, affine_line, affine_space, warped_line
 from .gallery import (
     FinSeq,
     SequentialPoint,
@@ -209,7 +207,7 @@ def _parse_x(spec, fn_kind: str):
     if isinstance(spec, (list, tuple)):
         values = [_as_number(v, f"bad x coordinate {v!r}") for v in spec]
         _require(len(values) >= 1, "x spec list must be nonempty")
-        return np.array(values, dtype=float)
+        return tuple(values)
     return _as_number(spec, f"bad x spec {spec!r}")
 
 
@@ -217,7 +215,7 @@ def _x_half_open_line(cfg: dict):
     domain = cfg.get("domain", (0.0, 1.0))
     _require(isinstance(domain, (list, tuple)) and len(domain) == 2, f"half_open_line domain must be [lo, hi], got {domain!r}")
     lo, hi = (_as_number(v, f"half_open_line domain must be numbers, got {domain!r}") for v in domain)
-    return lambda x: not isinstance(x, SequentialPoint) and np.ndim(x) == 0 and lo <= float(x) < hi
+    return lambda x: isinstance(x, float) and lo <= x < hi
 
 
 def _x_box(cfg: dict):
@@ -228,8 +226,8 @@ def _x_box(cfg: dict):
     def contains(x) -> bool:
         if isinstance(x, SequentialPoint):
             return False
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        return arr.size == dim and bool(np.all(arr >= lo) and np.all(arr <= hi))
+        coords = _coords(x)
+        return len(coords) == dim and all(lo <= v <= hi for v in coords)
 
     return contains
 
@@ -362,7 +360,7 @@ class Scenario:
             _require(isinstance(probe, dict) and set(probe) == {"x", "y"}, f"probe {index} must be an object with keys x and y")
             x = _parse_x(probe["x"], spec.kind)
             _require(all(contains(x) for contains in domains), f"probe {index}: x {probe['x']!r} lies outside the x_space or the scheme's domain")
-            _require(np.ndim(x) == 0 or not spec.scalar_x, f"probe {index}: {fn_name} takes a scalar x, not {probe['x']!r}")
+            _require(not isinstance(x, tuple) or not spec.scalar_x, f"probe {index}: {fn_name} takes a scalar x, not {probe['x']!r}")
             parsed.append((x, _parse_y(probe["y"])))
         function = spec.make()
         if spec.kind == "ambiguous":

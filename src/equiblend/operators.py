@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .connectors import (
     Contraction,
     ConnectorSpace,
     OrderedWeightFamily,
+    _norm_metric,
     lambda_sum,
 )
 from .partitions import AnchoredScheme, CoverCellPartition, SupportBox, disjointify
@@ -57,19 +56,13 @@ class BaireTower:
             raise ValueError(f"depth-{self.depth} tower needs stages")
 
 
-def _value_gap(a, b) -> float:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
-    return abs(float(a) - float(b))
-
-
 def tail_check(values: Sequence, target, eps: float, k: int = TAIL_K):
     """Tail criterion: the last k values all sit within eps of the target.
 
     Returns (passed, gaps, final_gap); eps=0 demands exact agreement.
     """
     values = list(values)
-    gaps = tuple(_value_gap(v, target) for v in values)
+    gaps = tuple(_norm_metric(v, target) for v in values)
     if len(values) < k:
         return False, gaps, (gaps[-1] if gaps else float("inf"))
     passed = all(g <= eps for g in gaps[-k:])
@@ -134,10 +127,10 @@ def lambda_blend(f: SectionedFunction, scheme: AnchoredScheme, z_space: Connecto
     renormalised); with a single active bump the value is exactly the anchor
     section's value.  Depends only on bumps whose support contains x.
     """
-    family = scheme.family(n)
+    family, anchors = scheme.level(n)
 
     def term(x, y):
-        entries = [(key, w, f.eval(scheme.anchor(n, key), y)) for key, w in family.weights_at(x) if w > 0.0]
+        entries = [(key, w, f.eval(anchors[key], y)) for key, w in family.weights_at(x) if w > 0.0]
         if not entries:
             raise PartitionViolationError(f"no bump is positive at {x!r} (level {n})")
         return lambda_sum(z_space, OrderedWeightFamily(tuple(entries)))

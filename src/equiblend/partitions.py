@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
-from .connectors import Key, _as_key, _check_dim, _norm_metric
+from .connectors import Key, _as_key, _check_dim, _coords, _norm_metric
 
 
 class DenseSetError(RuntimeError):
@@ -65,8 +63,8 @@ class SupportBox:
             v = float(x)
             lo, hi = self.lo[0], self.hi[0]
             return (v > lo or (v == lo and self.closed_lo[0])) and (v < hi or (v == hi and self.closed_hi[0]))
-        coords = np.atleast_1d(np.asarray(x, dtype=float))
-        if coords.size != self.dim:
+        coords = _coords(x)
+        if len(coords) != self.dim:
             return False
         for v, lo, hi, clo, chi in zip(coords, self.lo, self.hi, self.closed_lo, self.closed_hi):
             if not ((v > lo or (v == lo and clo)) and (v < hi or (v == hi and chi))):
@@ -96,25 +94,31 @@ class SupportBox:
 class BumpFamily:
     """An indexed family of bumps with declared supports.
 
-    ``eval(key, x)`` is exactly 0.0 whenever x falls outside
-    ``support_of(key)``; families here are finite, so local finiteness holds
-    with the whole space as witness neighborhood.  ``candidates(x)``, when
-    given, lists in key order a superset of the keys whose support holds x,
-    so a lookup tests those supports only instead of every key's.
+    ``bump(key, x)`` is only called on points of ``support_of(key)``, and
+    ``eval(key, x)`` is exactly 0.0 whenever x falls outside it; families
+    here are finite, so local finiteness holds with the whole space as
+    witness neighborhood.  ``candidates(x)``, when given, lists in key order
+    a superset of the keys whose support holds x, so a lookup tests those
+    supports only instead of every key's.
     """
 
     index_keys: tuple
-    eval: Callable[[Key, object], float]
+    bump: Callable[[Key, object], float]
     support_of: Callable[[Key], SupportBox]
     candidates: Callable[[object], Iterable] | None = None
+
+    def eval(self, key, x) -> float:
+        return self.bump(key, x) if self.support_of(key).contains(x) else 0.0
 
     def active_keys(self, x) -> list:
         keys = self.index_keys if self.candidates is None else self.candidates(x)
         return [k for k in keys if self.support_of(k).contains(x)]
 
     def weights_at(self, x) -> list:
-        """(key, bump value) over supports containing x, in key order."""
-        return [(k, self.eval(k, x)) for k in self.active_keys(x)]
+        """(key, bump value) over supports containing x, in key order; each
+        support is tested once."""
+        bump = self.bump
+        return [(k, bump(k, x)) for k in self.active_keys(x)]
 
     def partition_sum(self, x) -> float:
         return float(sum(v for _, v in self.weights_at(x)))
@@ -152,9 +156,7 @@ def dyadic_dense() -> DenseSet:
             _coarsest_dyadic_in(region.lo[i], region.hi[i], region.closed_lo[i], region.closed_hi[i])
             for i in range(region.dim)
         ]
-        if region.dim == 1:
-            return coords[0]
-        return np.array(coords, dtype=float)
+        return coords[0] if region.dim == 1 else tuple(coords)
 
     return DenseSet(tag="dyadic", pick=pick)
 
@@ -250,7 +252,7 @@ def _near_keys(axes: tuple, origin: float, n: int, below: int, above: int, x):
     """Keys within floor(t)-below .. floor(t)+above of t = (v - origin)*n on
     every axis, clipped to the axis ranges, in key order; none when x has
     the wrong size or a non-finite coordinate."""
-    coords = (x,) if isinstance(x, (int, float)) else np.ravel(np.asarray(x, dtype=float)).tolist()
+    coords = _coords(x)
     if len(coords) != len(axes):
         return ()
     ranges = []
@@ -267,16 +269,12 @@ def _anchored_level(axes: tuple, support_of, bump, anchor_region, dense: DenseSe
     """One scheme level: the bump family over the keys of the product of the
     integer ranges ``axes``, and its anchors.
 
-    ``bump(key, x)`` is only called on points of ``support_of(key)``, so each
-    bump is exactly 0.0 outside its declared support.  Each key's anchor is
-    the dense set's pick inside ``anchor_region(key)``, made on first use.
+    ``bump(key, x)`` need only be right on ``support_of(key)``: the family
+    never calls it elsewhere.  Each key's anchor is the dense set's pick
+    inside ``anchor_region(key)``, made on first use.
     """
-
-    def eval_bump(key, x) -> float:
-        return bump(key, x) if support_of(key).contains(x) else 0.0
-
     keys = tuple(itertools.product(*axes))  # in key order
-    family = BumpFamily(index_keys=keys, eval=eval_bump, support_of=support_of, candidates=candidates)
+    family = BumpFamily(index_keys=keys, bump=bump, support_of=support_of, candidates=candidates)
     return family, _LazyAnchors(keys, axes, lambda key: dense.pick(anchor_region(key)))
 
 
@@ -314,9 +312,9 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
 
         def tent(key, x) -> float:
             value = 1.0
-            for v, j in zip(np.atleast_1d(np.asarray(x, dtype=float)), key):
+            for v, j in zip(_coords(x), key):
                 value *= max(0.0, 1.0 - n * abs(v - axis_nodes[j]))
-            return float(value)
+            return value
 
         def node_box(key):
             node = [axis_nodes[j] for j in key]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -266,3 +269,83 @@ def test_hull_witness_on_warped_segment():
     w = iterated_hull_contains(wl, [0.0, 2.0], n=2, probe=target, trials=128, rng_seed=9)
     assert w.found
     assert w.distance <= 1e-9
+
+
+def test_renormalised_weights_match_numpy_bit_for_bit():
+    # numpy sums 8 or more entries pairwise, so a plain left-to-right sum
+    # moves a renormalised weight by an ulp in about a third of 8-entry cases
+    rng = np.random.default_rng(67)
+    atol = 1e-9  # WEIGHT_ATOL
+    for n in range(1, 301):
+        for scale in (1.0, 1.0 - 0.999 * atol, 1.0 + 0.999 * atol, 1.0 + 3e-10):
+            w = rng.uniform(0.0, 1.0, size=n)
+            w[rng.uniform(size=n) < 0.2] = 0.0
+            w[rng.uniform(size=n) < 0.1] = -0.0
+            tiny = rng.uniform(size=n) < 0.2
+            w[tiny] = rng.uniform(0.1e-9, 2e-9, size=int(tiny.sum()))
+            if not w.any():
+                w[0] = 1.0
+            w = w / np.sum(w) * scale
+            expected = np.asarray(w) / np.sum(w)
+            if abs(float(np.sum(w)) - 1.0) > atol:
+                with pytest.raises(WeightError):
+                    SimplexWeights(w)
+                continue
+            got = SimplexWeights(w).weights
+            assert len(got) == n
+            assert _bits(got) == _bits(expected), n
+
+
+def _warped_reference(x: float, y: float, t: float) -> float:
+    def h(u):
+        return u * u * u + u
+
+    w = (1.0 - t) * h(x) + t * h(y)
+    s = math.sqrt(0.25 * w * w + 1.0 / 27.0)
+    u = float(np.cbrt(0.5 * w + s) + np.cbrt(0.5 * w - s))
+    for _ in range(2):
+        u -= (u * u * u + u - w) / (3.0 * u * u + 1.0)
+    return u
+
+
+def test_warped_connect_matches_the_numpy_cbrt_formula():
+    # numpy's cbrt may run a SIMD kernel whose last bit differs from
+    # math.cbrt's; the warped connector keeps numpy's, bit for bit
+    rng = np.random.default_rng(71)
+    wl = warped_line()
+    xs = rng.uniform(-3.0, 3.0, size=10_000)
+    ys = rng.uniform(-3.0, 3.0, size=10_000)
+    ts = rng.uniform(1e-6, 1.0 - 1e-6, size=10_000)
+    for x, y, t in zip(xs.tolist(), ys.tolist(), ts.tolist()):
+        assert wl.connect(x, y, t) == _warped_reference(x, y, t), (x, y, t)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("d", [1e-200, 1e200])
+def test_affine_metric_neither_underflows_nor_overflows(dim, d):
+    sp = affine_line(dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if dim == 1:
+            assert sp.metric(0.0, d) == d
+            assert sp.metric(np.array([d]), np.zeros(1)) == d
+        else:
+            assert sp.metric((0.0, 0.0), (d, 0.0)) == d
+            assert sp.metric(np.zeros(2), np.array([0.0, -d])) == d
+            assert sp.metric((0.0, 0.0), (d, d)) == pytest.approx(d * math.sqrt(2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "x", [np.array(0.5), np.float32(0.5), np.int64(0), np.float64(0.5)], ids=["0d_array", "float32", "int64", "float64"]
+)
+def test_numpy_scalars_are_one_coordinate(x):
+    sp = affine_space(0.0, 1.0)
+    assert sp.contains(x)
+    assert convex_combination(sp, [x, 1.0], [0.5, 0.5]) == pytest.approx(0.5 * float(x) + 0.5)
+    assert sp.metric(x, 1.0) == pytest.approx(1.0 - float(x))
+    assert not affine_space(0.0, 1.0, dim=2).contains(x)
+
+
+def test_affine_membership_of_non_points_is_false():
+    for bad in (None, "ab", object()):
+        assert not affine_line(1).contains(bad)

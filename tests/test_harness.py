@@ -457,6 +457,30 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def _modules_after_main(*argv: str):
+    """Run ``cli.main(argv)`` in a fresh interpreter; (exit code, numpy
+    loaded, scipy loaded) afterwards."""
+    code = (
+        "import sys; from equiblend.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, cwd=str(SCENARIO_DIR.parent))
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+def test_cli_suite_loads_neither_numpy_nor_scipy(tmp_path):
+    assert _modules_after_main("suite", str(SCENARIO_DIR), "--out", str(tmp_path / "suite.json")) == ["0", "False", "False"]
+
+
+def test_cli_warped_scenario_loads_numpy(tmp_path):
+    # the warped z-space's inverse keeps numpy's cbrt, the one lazy numpy use
+    # on the CLI's path
+    path = tmp_path / "warped.json"
+    path.write_text(json.dumps(_minimal_dict(z_space={"kind": "warped"})))
+    assert _modules_after_main("run", str(path), "--out", str(tmp_path / "run.json")) == ["0", "True", "False"]
+
+
 def test_cli_suite_reruns_byte_identical(tmp_path):
     # a two-scenario copy keeps this quick; determinism is byte-for-byte
     suite_dir = tmp_path / "suite"

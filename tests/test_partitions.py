@@ -147,6 +147,19 @@ def test_grid_supports_cover_without_slack():
     assert fam.eval((2,), 1.25) == 0.0
 
 
+def test_weights_at_tests_each_candidate_support_once(monkeypatch):
+    fam = grid_scheme(2, box=(0.0, 1.0), n_max=8).family(8)
+    x = (0.3, 0.55)
+    tested = []
+    contains = SupportBox.contains
+    monkeypatch.setattr(SupportBox, "contains", lambda box, p: tested.append(box) or contains(box, p))
+    weights = fam.weights_at(x)
+    assert tested == [fam.support_of(k) for k in fam.candidates(x)]
+    monkeypatch.undo()
+    assert [k for k, _ in weights] == fam.active_keys(x)
+    assert [w for _, w in weights] == [fam.eval(k, x) for k in fam.active_keys(x)]
+
+
 def test_grid_full_box_support_at_level_one():
     # with one mesh cell the interior node's support is the whole box, closed
     scheme = grid_scheme(1, box=(0.0, 1.0), n_max=2)
@@ -293,6 +306,15 @@ def test_nan_lies_in_no_support():
     assert [k for k in fam.index_keys if fam.support_of(k).contains(np.array([np.nan, 0.5]))] == []
     assert fam.active_keys(np.array([np.nan, 0.5])) == []
 
+
+
+def test_numpy_scalar_points_weigh_like_floats():
+    fam = grid_scheme(1, box=(0.0, 1.0), n_max=8).family(8)
+    expected = fam.weights_at(0.3)
+    for x in (np.array(0.3), np.float64(0.3)):
+        assert fam.weights_at(x) == expected
+    assert fam.active_keys(np.float32(0.25)) == fam.active_keys(float(np.float32(0.25)))
+    assert fam.support_of(fam.active_keys(0.25)[0]).contains(np.array(0.25))
 
 def _counted_picks(monkeypatch) -> list:
     picks = []
