@@ -262,11 +262,12 @@ def convex_combination(space: ConnectorSpace, points: Sequence, weights) -> Poin
 
 
 def _as_key(key) -> Key:
+    # bools hash and compare like 0 and 1, but are not keys
     if isinstance(key, tuple):
-        if not key or not all(isinstance(k, int) for k in key):
+        if not key or not all(type(k) is int for k in key):
             raise FamilyError(f"keys must be integer tuples, got {key!r}")
         return key
-    if isinstance(key, int):
+    if type(key) is int:
         return (key,)
     raise FamilyError(f"keys must be integers or integer tuples, got {key!r}")
 

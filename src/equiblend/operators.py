@@ -20,7 +20,7 @@ from .connectors import (
     _norm_metric,
     lambda_sum,
 )
-from .partitions import AnchoredScheme, CoverCellPartition, SupportBox, disjointify
+from .partitions import AnchoredScheme, CoverCellPartition, SupportBox, _MapView, disjointify
 
 
 class PartitionViolationError(ValueError):
@@ -142,7 +142,7 @@ def anchored_cells(scheme: AnchoredScheme, n: int) -> CoverCellPartition:
     """Disjointified cells of a scheme level's supports, in key order; cell
     keys are scheme keys, so ``scheme.anchor`` gives the cell anchors."""
     family = scheme.family(n)
-    return disjointify([(key, lambda x, key=key: family.support_of(key).contains(x)) for key in family.index_keys], family.active_keys)
+    return disjointify(_MapView(lambda key: (key, family.support_of(key).contains), family.index_keys), family.active_keys)
 
 
 def piecewise_anchor(f: SectionedFunction, cells: CoverCellPartition, anchor_of_cell, n: int):

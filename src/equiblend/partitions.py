@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .connectors import Key, _as_key, _check_dim, _coords, _norm_metric
 
@@ -90,33 +90,83 @@ class SupportBox:
         return True
 
 
+class _KeyView(Sequence):
+    """The keys of the product of the integer ranges ``axes``, in key order
+    (that of ``itertools.product``), computed on access and never stored."""
+
+    def __init__(self, axes: tuple):
+        self.axes = axes
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self.axes))
+
+    def __iter__(self):
+        return itertools.product(*self.axes)
+
+    def __getitem__(self, index: int) -> Key:
+        size = len(self)
+        if not -size <= index < size:
+            raise IndexError(f"key index {index} outside a level of {size} keys")
+        index %= size
+        digits = []
+        for axis in reversed(self.axes):  # mixed radix, last axis fastest
+            index, digit = divmod(index, len(axis))
+            digits.append(axis[digit])
+        return tuple(reversed(digits))
+
+    def __contains__(self, key) -> bool:
+        return isinstance(key, tuple) and len(key) == len(self.axes) and all(type(j) is int and j in axis for j, axis in zip(key, self.axes))
+
+
+class _MapView(Sequence):
+    """``fn`` over a sequence, applied on access."""
+
+    def __init__(self, fn, seq: Sequence):
+        self._fn, self._seq = fn, seq
+
+    def __len__(self) -> int:
+        return len(self._seq)
+
+    def __getitem__(self, index: int):
+        return self._fn(self._seq[index])
+
+
 @dataclass(frozen=True)
 class BumpFamily:
-    """An indexed family of bumps with declared supports.
+    """An indexed family of bumps with declared supports: key k's support is
+    the box with i-th side ``interval(k[i])``.
 
     ``bump(key, x)`` is only called on points of ``support_of(key)``, and
     ``eval(key, x)`` is exactly 0.0 whenever x falls outside it; families
     here are finite, so local finiteness holds with the whole space as
-    witness neighborhood.  ``candidates(x)``, when given, lists in key order
-    a superset of the keys whose support holds x, so a lookup tests those
-    supports only instead of every key's.
+    witness neighborhood.  ``near(v, axis)`` lists the indices of ``axis``
+    whose interval may hold the coordinate v; a lookup tests only those.
     """
 
-    index_keys: tuple
+    index_keys: _KeyView
     bump: Callable[[Key, object], float]
-    support_of: Callable[[Key], SupportBox]
-    candidates: Callable[[object], Iterable] | None = None
+    interval: Callable[[int], SupportBox]
+    near: Callable[[float, range], range]
+
+    def support_of(self, key) -> SupportBox:
+        sides = [self.interval(j) for j in key]
+        return SupportBox(*(tuple(getattr(side, face)[0] for side in sides) for face in ("lo", "hi", "closed_lo", "closed_hi")))
 
     def eval(self, key, x) -> float:
         return self.bump(key, x) if self.support_of(key).contains(x) else 0.0
 
     def active_keys(self, x) -> list:
-        keys = self.index_keys if self.candidates is None else self.candidates(x)
-        return [k for k in keys if self.support_of(k).contains(x)]
+        """Keys whose support holds x, in key order: the product of each
+        axis's hits, as a box test is the conjunction of its sides' tests."""
+        coords = _coords(x)
+        axes = self.index_keys.axes
+        if len(coords) != len(axes):
+            return []
+        hits = [[j for j in self.near(v, axis) if self.interval(j).contains(v)] for v, axis in zip(coords, axes)]
+        return list(itertools.product(*hits))
 
     def weights_at(self, x) -> list:
-        """(key, bump value) over supports containing x, in key order; each
-        support is tested once."""
+        """(key, bump value) over supports containing x, in key order."""
         bump = self.bump
         return [(k, bump(k, x)) for k in self.active_keys(x)]
 
@@ -161,24 +211,6 @@ def dyadic_dense() -> DenseSet:
     return DenseSet(tag="dyadic", pick=pick)
 
 
-def dense_from_iterable(points: Iterable, tag: str = "stream", max_draws: int = 10000) -> DenseSet:
-    """Adapt a point stream: draw until one lands in the region, with a
-    bounded number of draws."""
-    stream: Iterator = iter(points)
-
-    def pick(region: SupportBox):
-        for _ in range(max_draws):
-            try:
-                candidate = next(stream)
-            except StopIteration:
-                break
-            if region.contains(candidate):
-                return candidate
-        raise DenseSetError(f"stream produced no point in the region within {max_draws} draws")
-
-    return DenseSet(tag=tag, pick=pick)
-
-
 class AnchoredScheme:
     """A sequence of partitions (level n has scale 1/n), each bump carrying an
     anchor point drawn from a fixed dense set."""
@@ -188,9 +220,8 @@ class AnchoredScheme:
             raise ValueError("n_max must be a positive integer")
         self.n_max = int(n_max)
         self.space_kind = space_kind
-        self.dense_set_tag = dense_set_tag
         self._build_level = level_builder
-        self._describe = dict(describe)
+        self._describe = {**describe, "dense_set": dense_set_tag}
         self._levels: dict = {}  # lazily built; idempotent, safe to race
 
     def level(self, n: int):
@@ -217,17 +248,10 @@ class AnchoredScheme:
 
 class _LazyAnchors(Mapping):
     """A level's anchors, each picked from the dense set on first access and
-    kept.  Iteration and length go over every key of the level, in key
-    order; a key is a member when each coordinate lies in its axis range.
+    kept.  Iteration, length and membership are the key view's."""
 
-    The dyadic pick is pure, so a lazy pick equals the eager one.  A
-    stateful dense set (``dense_from_iterable``) would make picks depend on
-    the access order; no scheme uses one.
-    """
-
-    def __init__(self, keys: tuple, axes: tuple, pick):
+    def __init__(self, keys: _KeyView, pick):
         self._keys = keys
-        self._axes = axes
         self._pick = pick  # key -> anchor
         self._picked: dict = {}
 
@@ -235,8 +259,7 @@ class _LazyAnchors(Mapping):
         try:
             return self._picked[key]
         except KeyError:
-            axes = self._axes
-            if not (isinstance(key, tuple) and len(key) == len(axes) and all(j in axis for j, axis in zip(key, axes))):
+            if key not in self._keys:
                 raise
         anchor = self._picked[key] = self._pick(key)
         return anchor
@@ -248,34 +271,27 @@ class _LazyAnchors(Mapping):
         return len(self._keys)
 
 
-def _near_keys(axes: tuple, origin: float, n: int, below: int, above: int, x):
-    """Keys within floor(t)-below .. floor(t)+above of t = (v - origin)*n on
-    every axis, clipped to the axis ranges, in key order; none when x has
-    the wrong size or a non-finite coordinate."""
-    coords = _coords(x)
-    if len(coords) != len(axes):
-        return ()
-    ranges = []
-    for v, axis in zip(coords, axes):
-        t = (v - origin) * n
-        if not math.isfinite(t):
-            return ()
-        f = math.floor(t)
-        ranges.append(range(max(f - below, axis.start), min(f + above + 1, axis.stop)))
-    return itertools.product(*ranges)
+def _near(origin: float, n: int, below: int, above: int, v: float, axis: range) -> range:
+    """The indices of ``axis`` within floor(t)-below .. floor(t)+above for
+    t = (v - origin)*n; none when t is not finite."""
+    t = (v - origin) * n
+    if not math.isfinite(t):
+        return range(0)
+    f = math.floor(t)
+    return range(max(f - below, axis.start), min(f + above + 1, axis.stop))
 
 
-def _anchored_level(axes: tuple, support_of, bump, anchor_region, dense: DenseSet, candidates):
+def _anchored_level(axes: tuple, interval, near, bump, anchor_region, dense: DenseSet):
     """One scheme level: the bump family over the keys of the product of the
-    integer ranges ``axes``, and its anchors.
+    integer ranges ``axes``, and its anchors; nothing is built per key.
 
     ``bump(key, x)`` need only be right on ``support_of(key)``: the family
     never calls it elsewhere.  Each key's anchor is the dense set's pick
     inside ``anchor_region(key)``, made on first use.
     """
-    keys = tuple(itertools.product(*axes))  # in key order
-    family = BumpFamily(index_keys=keys, bump=bump, support_of=support_of, candidates=candidates)
-    return family, _LazyAnchors(keys, axes, lambda key: dense.pick(anchor_region(key)))
+    keys = _KeyView(axes)
+    family = BumpFamily(index_keys=keys, bump=bump, interval=interval, near=near)
+    return family, _LazyAnchors(keys, lambda key: dense.pick(anchor_region(key)))
 
 
 def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
@@ -302,13 +318,8 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
         axis_nodes = [lo + j / n for j in range(count + 1)]
         r = 0.5 / n
 
-        def support_of(key):
-            return SupportBox(
-                tuple(axis_nodes[max(j - 1, 0)] for j in key),
-                tuple(axis_nodes[min(j + 1, count)] for j in key),
-                (True,) * dim,
-                tuple(j + 1 >= count for j in key),
-            )
+        def interval(j):
+            return SupportBox((axis_nodes[max(j - 1, 0)],), (axis_nodes[min(j + 1, count)],), (True,), (j + 1 >= count,))
 
         def tent(key, x) -> float:
             value = 1.0
@@ -320,17 +331,15 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
             node = [axis_nodes[j] for j in key]
             return SupportBox.box([max(c - r, lo) for c in node], [min(c + r, hi) for c in node])
 
-        axes = (range(count + 1),) * dim
         # nodes floor(t)-1 .. floor(t)+2 for t = (v - lo)*n: float rounding
-        # of t cannot drop a support holding x
-        return _anchored_level(axes, support_of, tent, node_box, dense, partial(_near_keys, axes, lo, n, 1, 2))
+        # of t cannot drop a support holding v
+        return _anchored_level((range(count + 1),) * dim, interval, partial(_near, lo, n, 1, 2), tent, node_box, dense)
 
     describe = {
         "kind": "grid",
         "dim": dim,
         "box": [lo, hi],
         "n_max": int(n_max),
-        "dense_set": dense.tag,
     }
     return AnchoredScheme(n_max, "euclidean_grid", dense.tag, build_level, describe)
 
@@ -345,20 +354,17 @@ def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
     dense = dyadic_dense()
 
     def build_level(n: int):
-        def tile(key):
-            (i,) = key
+        def tile(i):
             return SupportBox.interval((i - 1) / n, i / n, closed_lo=True, closed_hi=False)
 
         axes = (range(math.floor(lo * n) - 1, math.ceil(hi * n) + 2),)
         # x lies in tile floor(x*n)+1, up to float rounding of x*n
-        near = partial(_near_keys, axes, 0.0, n, 0, 2)
-        return _anchored_level(axes, tile, lambda key, x: 1.0, lambda key: tile((key[0] + 1,)), dense, near)
+        return _anchored_level(axes, tile, partial(_near, 0.0, n, 0, 2), lambda key, x: 1.0, lambda key: tile(key[0] + 1), dense)
 
     describe = {
         "kind": "sorgenfrey",
         "domain": [lo, hi],
         "n_max": int(n_max),
-        "dense_set": dense.tag,
     }
     return AnchoredScheme(n_max, "sorgenfrey", dense.tag, build_level, describe)
 
@@ -410,7 +416,7 @@ class CoverCellPartition:
     holding x, the cell is the first of them, and no cell predicate runs.
     """
 
-    cells: tuple  # ((key, membership predicate), ...)
+    cells: Sequence  # (key, membership predicate) pairs
     provenance: str  # "disjointified" | "supplied"
     first_of: Callable[[object], Sequence] | None = None
 
@@ -433,10 +439,14 @@ def disjointify(cover: Sequence, first_of=None) -> CoverCellPartition:
     """First-containing-index refinement of an ordered cover: cell k keeps the
     points of set k not claimed by any earlier set.  ``first_of(x)``, when
     given, lists in cover order the keys of the sets holding x, so
-    ``cell_of`` reads the first one instead of running the predicate chain."""
-    items = [(_as_key(key), member) for key, member in cover]
-    if not items:
+    ``cell_of`` reads the first one instead of running the predicate chain;
+    the cover is then kept as it is, and cell k's predicate, made on access,
+    asks whether k comes first."""
+    if not len(cover):
         raise CoverError("cover is empty")
+    if first_of is not None:
+        return CoverCellPartition(_MapView(lambda item: (item[0], lambda x: item[0] in first_of(x)[:1]), cover), "disjointified", first_of)
+    items = [(_as_key(key), member) for key, member in cover]
     members = tuple(member for _, member in items)
 
     def cell(idx):

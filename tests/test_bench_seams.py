@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 LINE = {"kind": "line", "dim": 1}
 SCENARIOS = {
@@ -97,3 +99,19 @@ def test_sorgenfrey_cell_lookup_records(tmp_path):
     # its cell lookup must record without a grid scenario beside it
     recorded = _recorded(tmp_path, ["anchor_sorgenfrey"])
     assert [name for name in ("partitions.cell_of", "partitions.contains", "partitions.disjointify") if not recorded[name]] == []
+
+
+@pytest.mark.parametrize(
+    ("scenario", "names", "keys"),
+    [
+        ("blend1", ("partitions.contains",), 3 + 5 + 9),
+        ("anchor2", ("partitions.contains", "partitions.cell_of", "partitions.disjointify"), 3**2 + 5**2 + 9**2),
+    ],
+    ids=["blend1", "anchor2"],
+)
+def test_lookup_spans_record_on_one_scenario(tmp_path, scenario, names, keys):
+    # a lookup made of raw float comparisons, or cells that skip disjointify,
+    # would leave these empty; keys_built reads len(index_keys) per level
+    recorded = _recorded(tmp_path, [scenario])
+    assert [name for name in names if not recorded[name]] == []
+    assert recorded["partitions.keys_built"] == keys

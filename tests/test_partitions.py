@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from equiblend import partitions
-from equiblend.connectors import affine_line
-from equiblend.operators import SectionedFunction, anchored_cells, lambda_blend
+from equiblend.connectors import FamilyError, affine_line
+from equiblend.operators import SectionedFunction, anchored_cells, lambda_blend, piecewise_anchor
 from equiblend.partitions import (
     AnchoredScheme,
     AnchoringError,
@@ -18,7 +20,6 @@ from equiblend.partitions import (
     CoverError,
     DenseSetError,
     SupportBox,
-    dense_from_iterable,
     disjointify,
     dyadic_dense,
     grid_scheme,
@@ -92,13 +93,6 @@ def test_dyadic_pick_fails_on_empty_window():
         d.pick(SupportBox.interval(0.1, 0.1, closed_hi=False))
 
 
-def test_stream_dense_exhaustion():
-    d = dense_from_iterable([0.2, 0.4, 0.6], max_draws=10)
-    assert d.pick(SupportBox.interval(0.35, 0.5)) == 0.4
-    with pytest.raises(DenseSetError):
-        d.pick(SupportBox.interval(0.7, 0.8))
-
-
 # ---------------------------------------------------------------- grid scheme
 
 
@@ -147,17 +141,27 @@ def test_grid_supports_cover_without_slack():
     assert fam.eval((2,), 1.25) == 0.0
 
 
-def test_weights_at_tests_each_candidate_support_once(monkeypatch):
-    fam = grid_scheme(2, box=(0.0, 1.0), n_max=8).family(8)
-    x = (0.3, 0.55)
+@pytest.mark.parametrize("x", [(0.3, 0.55), (0.3, 0.55, 0.125)], ids=["dim2", "dim3"])
+def test_weights_at_makes_at_most_four_interval_tests_per_axis(monkeypatch, x):
+    # a lookup tests each axis's candidate intervals, never a whole support
+    dim = len(x)
+    fam = grid_scheme(dim, box=(0.0, 1.0), n_max=8).family(8)
     tested = []
     contains = SupportBox.contains
+
+    def support_of(family, key):
+        raise AssertionError("a lookup built a support box")
+
     monkeypatch.setattr(SupportBox, "contains", lambda box, p: tested.append(box) or contains(box, p))
     weights = fam.weights_at(x)
-    assert tested == [fam.support_of(k) for k in fam.candidates(x)]
+    assert 0 < len(tested) <= 4 * dim  # a test per candidate key took 4^dim
+    assert all(box.dim == 1 for box in tested)
+    monkeypatch.setattr(partitions.BumpFamily, "support_of", support_of)
+    assert fam.weights_at(x) == weights
     monkeypatch.undo()
-    assert [k for k, _ in weights] == fam.active_keys(x)
-    assert [w for _, w in weights] == [fam.eval(k, x) for k in fam.active_keys(x)]
+    full_scan = [k for k in fam.index_keys if fam.support_of(k).contains(x)]
+    assert [k for k, _ in weights] == full_scan
+    assert [w for _, w in weights] == [fam.eval(k, x) for k in full_scan]
 
 
 def test_grid_full_box_support_at_level_one():
@@ -288,6 +292,7 @@ def test_candidate_lookup_matches_the_full_scan():
         fam = scheme.family(n)
         cells = anchored_cells(scheme, n)
         chain = disjointify([(k, fam.support_of(k).contains) for k in fam.index_keys])
+        assert cells.keys() == chain.keys()
         for x in points:
             assert fam.active_keys(x) == [k for k in fam.index_keys if fam.support_of(k).contains(x)]
             if len(fam.index_keys) > 500:
@@ -297,8 +302,60 @@ def test_candidate_lookup_matches_the_full_scan():
             except CoverError:
                 with pytest.raises(CoverError):
                     cells.cell_of(x)
+                expected_cells = []
             else:
                 assert cells.cell_of(x) == expected
+                expected_cells = [expected]
+            if len(fam.index_keys) <= 100:  # each cell predicate is a lookup
+                assert [k for k, member in cells.cells if member(x)] == expected_cells
+
+
+def _key_views():
+    for dim in (1, 2, 3):
+        yield grid_scheme(dim, box=(-1.0, 1.0), n_max=3).family(3).index_keys
+    yield sorgenfrey_scheme(n_max=7, domain=(-0.5, 1.0)).family(7).index_keys
+
+
+@pytest.mark.parametrize("view", _key_views(), ids=["grid1", "grid2", "grid3", "sorgenfrey"])
+def test_level_keys_are_a_view_of_the_axis_product(view):
+    keys = tuple(itertools.product(*view.axes))
+    assert len(view) == len(keys)
+    assert tuple(view) == keys
+    assert view[0] == keys[0] and view[-1] == keys[-1]
+    # every index, so every mixed-radix carry, from either end
+    assert [view[i] for i in range(len(keys))] == list(keys)
+    assert [view[i - len(keys)] for i in range(len(keys))] == list(keys)
+    for past in (len(keys), -len(keys) - 1):
+        with pytest.raises(IndexError):
+            view[past]
+    assert all(key in view for key in keys)
+    first, last = keys[0], keys[-1]
+    dim = len(first)
+    below = [first[:i] + (first[i] - 1,) + first[i + 1 :] for i in range(dim)]
+    above = [last[:i] + (last[i] + 1,) + last[i + 1 :] for i in range(dim)]
+    # axis 0 holds 1 on every level here, so only the coordinate type is wrong
+    typed = [(1.0,), (True,), (1.0,) + first[1:], (True,) + first[1:], 1]
+    for foreign in [*below, *above, first + first[:1], first[:-1], *typed]:
+        assert foreign not in view
+
+
+def test_a_fine_level_and_its_cells_build_nothing_per_key(monkeypatch):
+    # a dim-2 n = 256 level has 263,169 keys; a per-key tuple or closure
+    # would take tens of MB
+    picks = _counted_picks(monkeypatch)
+    f = SectionedFunction.from_callable(lambda x, y: 0.5)
+    tracemalloc.start()
+    try:
+        scheme = grid_scheme(2, box=(-1.0, 1.0), n_max=256)
+        cells = anchored_cells(scheme, 256)
+        value = piecewise_anchor(f, cells, scheme.anchor, 256)((0.3, -0.21), 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 0.5
+    assert len(scheme.family(256).index_keys) == 513**2
+    assert peak < 1 << 20
+    assert len(picks) <= 2**2
 
 
 def test_nan_lies_in_no_support():
@@ -370,6 +427,17 @@ def test_lazy_anchors_equal_the_eager_picks(monkeypatch):
         assert anchors == {key: dense.pick(SupportBox.interval(key[0] / n, (key[0] + 1) / n, closed_hi=False)) for key in scheme.family(n).index_keys}
         with pytest.raises(KeyError):
             scheme.anchor(n, (n + 2,))
+
+
+def test_bools_are_not_keys():
+    # (True, True) equals and hashes like the picked key (1, 1), yet no
+    # level holds it, whatever was picked before
+    scheme = grid_scheme(2, box=(-1.0, 1.0), n_max=4)
+    for _ in range(2):
+        for foreign in ((True, True), (1, True), True):
+            with pytest.raises(FamilyError):
+                scheme.anchor(4, foreign)
+        scheme.anchor(4, (1, 1))
 
 
 # ------------------------------------------------------------------- covers
