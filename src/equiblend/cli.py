@@ -8,6 +8,7 @@ Exit codes: 0 all probes passed, 1 some probe failed the tail criterion,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -90,6 +91,8 @@ def _cmd_list(args) -> int:
 
 
 def main(argv=None) -> int:
+    # read by numpy's first import (warped z-space only); idle BLAS workers only cost time
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = argparse.ArgumentParser(prog="equiblend", description="convergence scenario runner")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -142,9 +142,16 @@ SCHEMES = {
     ),
 }
 
+
+def _affine_z(cfg: dict):
+    # the report echoes lo and hi, so they must be finite
+    lo, hi = (_as_number(cfg.get(key, default), f"{key} must be a finite number, got {cfg.get(key)!r}") for key, default in (("lo", 0.0), ("hi", 1.0)))
+    return affine_space(lo, hi, cfg.get("dim", 1))
+
+
 Z_SPACES = {
     "line": KindSpec(("dim",), lambda cfg: affine_line(cfg.get("dim", 1))),
-    "affine": KindSpec(("lo", "hi", "dim"), lambda cfg: affine_space(cfg.get("lo", 0.0), cfg.get("hi", 1.0), cfg.get("dim", 1))),
+    "affine": KindSpec(("lo", "hi", "dim"), _affine_z),
     "warped": KindSpec((), lambda cfg: warped_line()),
 }
 
@@ -165,14 +172,17 @@ def _only_keys(cfg: dict, keys: tuple, what: str) -> None:
 
 def _as_number(v, message: str) -> float:
     _require(isinstance(v, (int, float)) and not isinstance(v, bool), message)
-    value = float(v)
+    try:
+        value = float(v)
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError(message) from None
     _require(math.isfinite(value), message)
     return value
 
 
 def _parse_y(spec) -> TaggedReal:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return TaggedReal.plain(float(spec))
+        return TaggedReal.plain(_as_number(spec, f"y must be a finite number, got {spec!r}"))
     if isinstance(spec, dict) and len(spec) == 1:
         if "rational" in spec:
             pq = spec["rational"]
@@ -181,7 +191,7 @@ def _parse_y(spec) -> TaggedReal:
                 f"rational y spec needs [p, q] integers, got {pq!r}",
             )
             _require(pq[1] != 0, "rational y spec needs a nonzero denominator")
-            return TaggedReal.rational(pq[0], pq[1])
+            return _build("rational y spec", TaggedReal.rational, pq[0], pq[1])
         if "irrational" in spec:
             return TaggedReal.irrational(_as_number(spec["irrational"], "irrational y spec needs a number"))
     raise ConfigError(f"bad y spec {spec!r}: expected a number, {{'rational': [p, q]}} or {{'irrational': v}}")
@@ -252,7 +262,7 @@ def _build(what: str, make: Callable, *args):
     """Call a constructor, turning its argument errors into ConfigError."""
     try:
         return make(*args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Mapping, Sequence
 
 from .connectors import Key, _as_key, _check_dim, _coords, _norm_metric
@@ -287,7 +287,8 @@ def _anchored_level(axes: tuple, interval, near, bump, anchor_region, dense: Den
 
     ``bump(key, x)`` need only be right on ``support_of(key)``: the family
     never calls it elsewhere.  Each key's anchor is the dense set's pick
-    inside ``anchor_region(key)``, made on first use.
+    inside ``anchor_region(key)``, made on first use.  Both schemes memoise
+    ``interval``, so a level builds each axis index's interval once.
     """
     keys = _KeyView(axes)
     family = BumpFamily(index_keys=keys, bump=bump, interval=interval, near=near)
@@ -306,29 +307,29 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
     _check_dim(dim)
     lo, hi = float(box[0]), float(box[1])
     side = hi - lo
-    if not side > 0:
-        raise ValueError("box must have positive side length")
+    if not 0 < side < math.inf:
+        raise ValueError("box must have finite, positive side length")
     if abs(side - round(side)) > 1e-9:
         raise ValueError("box side length must be a whole number so meshes tile it exactly")
     side = int(round(side))
     dense = dyadic_dense()
 
     def build_level(n: int):
-        count = side * n  # nodes 0..count per axis
-        axis_nodes = [lo + j / n for j in range(count + 1)]
+        count = side * n  # nodes 0..count per axis; node j is lo + j / n
         r = 0.5 / n
 
+        @cache
         def interval(j):
-            return SupportBox((axis_nodes[max(j - 1, 0)],), (axis_nodes[min(j + 1, count)],), (True,), (j + 1 >= count,))
+            return SupportBox((lo + max(j - 1, 0) / n,), (lo + min(j + 1, count) / n,), (True,), (j + 1 >= count,))
 
         def tent(key, x) -> float:
             value = 1.0
             for v, j in zip(_coords(x), key):
-                value *= max(0.0, 1.0 - n * abs(v - axis_nodes[j]))
+                value *= max(0.0, 1.0 - n * abs(v - (lo + j / n)))
             return value
 
         def node_box(key):
-            node = [axis_nodes[j] for j in key]
+            node = [lo + j / n for j in key]
             return SupportBox.box([max(c - r, lo) for c in node], [min(c + r, hi) for c in node])
 
         # nodes floor(t)-1 .. floor(t)+2 for t = (v - lo)*n: float rounding
@@ -354,6 +355,7 @@ def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
     dense = dyadic_dense()
 
     def build_level(n: int):
+        @cache
         def tile(i):
             return SupportBox.interval((i - 1) / n, i / n, closed_lo=True, closed_hi=False)
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -481,6 +483,35 @@ def test_cli_warped_scenario_loads_numpy(tmp_path):
     assert _modules_after_main("run", str(path), "--out", str(tmp_path / "run.json")) == ["0", "True", "False"]
 
 
+def _blas_after_main(preset: str | None, *argv: str):
+    """Run ``cli.main(argv)`` in a fresh interpreter whose
+    OPENBLAS_NUM_THREADS is ``preset`` (unset for None); (exit code, the
+    variable, the process's thread count or None without /proc) afterwards."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = (
+        "import os, sys; from equiblend.cli import main; code = main(sys.argv[1:]); "
+        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None; "
+        "print(code, os.environ.get('OPENBLAS_NUM_THREADS'), tasks)"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, cwd=str(SCENARIO_DIR.parent), env=env)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+def test_cli_numpy_starts_no_blas_worker_threads(tmp_path):
+    # the CLI never calls BLAS, so OpenBLAS's idle workers would only busy-wait
+    # beside the run; a value the user set is kept
+    path = tmp_path / "warped.json"
+    path.write_text(json.dumps(_minimal_dict(z_space={"kind": "warped"})))
+    argv = ("run", str(path), "--out", str(tmp_path / "run.json"))
+    code, threads, tasks = _blas_after_main(None, *argv)
+    assert (code, threads) == ("0", "1")
+    assert tasks in ("1", "None")
+    assert _blas_after_main("2", *argv)[:2] == ["0", "2"]
+
+
 def test_cli_suite_reruns_byte_identical(tmp_path):
     # a two-scenario copy keeps this quick; determinism is byte-for-byte
     suite_dir = tmp_path / "suite"
@@ -525,6 +556,12 @@ MALFORMED = {
     "grid_scheme_with_n": {"scheme": {"kind": "grid", "dim": 1, "lo": 0.0, "hi": 1.0, "n": 5}},
     "sorgenfrey_scheme_with_dim": {"scheme": {"kind": "sorgenfrey", "dim": 3}},
     "box_x_space_with_extra_key": {"x_space": {"kind": "box", "lo": 0.0, "hi": 1.0, "side": 2}},
+    "grid_hi_infinite": {"scheme": {"kind": "grid", "dim": 1, "lo": 0.0, "hi": math.inf}},
+    "affine_z_hi_infinite": {"z_space": {"kind": "affine", "hi": math.inf}},
+    "probe_y_infinite": {"probes": [{"x": 0.25, "y": math.inf}]},
+    "probe_x_beyond_the_floats": {"probes": [{"x": 10**400, "y": 0.5}]},
+    "eps_beyond_the_floats": {"eps": 10**400},
+    "rational_y_beyond_the_floats": {"probes": [{"x": 0.25, "y": {"rational": [10**400, 1]}}]},
 }
 
 

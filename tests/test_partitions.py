@@ -358,6 +358,40 @@ def test_a_fine_level_and_its_cells_build_nothing_per_key(monkeypatch):
     assert len(picks) <= 2**2
 
 
+def test_a_long_grid_level_stores_no_nodes():
+    # side * n + 1 = 256,001 nodes at n = 256; a stored node list took 8 MB
+    f = SectionedFunction.from_callable(lambda x, y: 0.5)
+    tracemalloc.start()
+    try:
+        scheme = grid_scheme(1, box=(0.0, 1000.0), n_max=256)
+        value = lambda_blend(f, scheme, affine_line(1), 256)(500.3, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 0.5
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("kind", ["grid", "sorgenfrey"])
+def test_a_level_builds_each_interval_once(monkeypatch, kind):
+    scheme, x = (grid_scheme(2, box=(0.0, 1.0), n_max=8), (0.3, 0.55)) if kind == "grid" else (sorgenfrey_scheme(n_max=8), 0.3)
+    fam = scheme.family(8)
+    assert fam.interval(3) is fam.interval(3)
+    weights = fam.weights_at(x)
+    key = weights[0][0]
+    support = fam.support_of(key)
+    built = []
+    init = SupportBox.__init__
+    monkeypatch.setattr(SupportBox, "__init__", lambda box, *args: built.append(args) or init(box, *args))
+    for _ in range(3):
+        assert fam.weights_at(x) == weights
+        assert fam.active_keys(x) == [k for k, _ in weights]
+    assert built == []
+    # a support is the key's own box over the level's kept intervals
+    assert fam.support_of(key) == support
+    assert len(built) == 1
+
+
 def test_nan_lies_in_no_support():
     fam = grid_scheme(2, box=(0.0, 1.0), n_max=8).family(8)
     assert [k for k in fam.index_keys if fam.support_of(k).contains(np.array([np.nan, 0.5]))] == []
