@@ -4,7 +4,7 @@ A connector space is a point universe together with a continuous path map
 ``connect(x, y, t)`` joining any two points for t in [0, 1], with exact
 endpoints and ``connect(x, x, t) == x``.  Weighted n-point combinations are
 folded through ``connect`` by a fixed left-to-right recursion; ordered weight
-families and Monte-Carlo hull probes build on top of that.
+families build on top of that.
 """
 
 from __future__ import annotations
@@ -348,108 +348,9 @@ def straight_line_contraction(star=0.0, name: str = "") -> Contraction:
     return make_contraction(raw, star, name or "straight_line")
 
 
-def contraction_from_connector(space: ConnectorSpace, star, name: str = "") -> Contraction:
-    """Contract along connector paths: gamma(z, t) = connect(z, star, t)."""
-
-    def raw(z, t):
-        return space.connect(z, star, t)
-
-    return make_contraction(raw, star, name or f"contract({space.name})")
-
-
 def contract_eval(c: Contraction, z, t: float) -> Point:
     """Evaluate a contraction; t must lie in [0, 1]."""
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise WeightError(f"contraction parameter {t!r} outside [0, 1]")
     return c.gamma(z, t)
-
-
-@dataclass(frozen=True)
-class HullWitness:
-    """Outcome of a hull probe.  A positive carries the witnessing data;
-    a negative only says the search did not find one (one-sided)."""
-
-    found: bool
-    distance: float
-    points: tuple | None
-    weights: Sequence | None
-    value: Point | None
-    trials: int
-
-
-def iterated_hull_contains(
-    space: ConnectorSpace,
-    seed_points: Sequence,
-    n: int,
-    probe,
-    trials: int = 512,
-    rng_seed: int = 0,
-    tol: float = 1e-9,
-    polish_top: int = 5,
-) -> HullWitness:
-    """Search for an n-fold combination of seeds landing on ``probe``.
-
-    Samples point tuples from the seeds with simplex-uniform weights, then
-    polishes the best candidates' weights (SLSQP over the simplex).  Returns
-    a positive with a witness when some combination comes within ``tol`` of
-    the probe; a negative is only evidence of absence.
-    """
-    # imported here so that importing the package loads neither numpy nor scipy
-    import numpy as np
-    from scipy.optimize import minimize
-
-    seeds = list(seed_points)
-    if not seeds or n < 1:
-        raise ValueError("need at least one seed point and n >= 1")
-    rng = np.random.default_rng(rng_seed)
-    candidates = []
-    used = 0
-    for _ in range(int(trials)):
-        used += 1
-        idx = rng.integers(0, len(seeds), size=n)
-        pts = [seeds[i] for i in idx]
-        w = rng.dirichlet(np.ones(n))
-        value = convex_combination(space, pts, w / w.sum())
-        dist = space.metric(value, probe)
-        if dist <= tol:
-            return HullWitness(True, float(dist), tuple(pts), np.asarray(w), value, used)
-        candidates.append((float(dist), tuple(pts), np.asarray(w)))
-    candidates.sort(key=lambda c: c[0])
-    best = HullWitness(False, candidates[0][0], None, None, None, used) if candidates else None
-
-    def polish(pts, w0):
-        def objective(v):
-            v = np.clip(v, 0.0, None)
-            s = float(v.sum())
-            if s <= 0.0:
-                return 1e9
-            out = convex_combination(space, list(pts), v / s)
-            return space.metric(out, probe)
-
-        res = minimize(
-            objective,
-            w0,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * len(pts),
-            constraints=[{"type": "eq", "fun": lambda v: float(np.sum(v)) - 1.0}],
-            options={"maxiter": 200, "ftol": 1e-16},
-        )
-        v = np.clip(res.x, 0.0, None)
-        s = float(v.sum())
-        if s <= 0.0:
-            return None
-        v = v / s
-        out = convex_combination(space, list(pts), v)
-        return space.metric(out, probe), v, out
-
-    for dist, pts, w0 in candidates[: max(0, int(polish_top))]:
-        polished = polish(pts, w0)
-        if polished is None:
-            continue
-        pdist, pw, pval = polished
-        if pdist <= tol:
-            return HullWitness(True, float(pdist), tuple(pts), pw, pval, used)
-        if best is None or pdist < best.distance:
-            best = HullWitness(False, float(pdist), None, None, None, used)
-    return best

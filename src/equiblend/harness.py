@@ -550,32 +550,3 @@ def render_csv(reports: Sequence[ScenarioReport]) -> str:
         for index, r in enumerate(report.records):
             writer.writerow([name, index, *(_cell(v) for v in (r.x, r.y, r.target, r.passed, r.final_gap, r.terms[-1]))])
     return buffer.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# section probing
-
-
-def section_probe(f, x: float, y_grid: Sequence[float], deltas: Sequence[float], sided: bool = False) -> tuple:
-    """First-variable modulus, uniform over a probe grid of y values.
-
-    For each delta, the largest |f(x +/- delta, y) - f(x, y)| over the grid;
-    ``sided`` keeps only the rightward displacement, matching half-open
-    tilings where the leftward step exits the tile.
-    """
-    fn = f.eval if isinstance(f, SectionedFunction) else f
-    x = float(x)
-    ys = [float(v) for v in y_grid]
-    bases = [float(fn(x, y)) for y in ys]
-    out = []
-    for delta in deltas:
-        delta = float(delta)
-        if not delta > 0:
-            raise ValueError("deltas must be positive")
-        shifts = (delta,) if sided else (-delta, delta)
-        worst = 0.0
-        for y, base in zip(ys, bases):
-            for s in shifts:
-                worst = max(worst, abs(float(fn(x + s, y)) - base))
-        out.append(worst)
-    return tuple(out)

@@ -295,6 +295,14 @@ def _anchored_level(axes: tuple, interval, near, bump, anchor_region, dense: Den
     return family, _LazyAnchors(keys, lambda key: dense.pick(anchor_region(key)))
 
 
+def _check_resolution(n_max, lo: float, hi: float) -> None:
+    """Reject levels finer than the floats resolve on [lo, hi], where adjacent
+    nodes round to one float and supports go empty.  ``1 / n_max`` divides
+    integers with one rounding, so it cannot overflow however large n_max is."""
+    if n_max >= 1 and not 1 / n_max > math.ulp(max(abs(lo), abs(hi))):
+        raise ValueError(f"a schedule level is finer than the floats resolve on [{lo}, {hi}]")
+
+
 def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
     """Multilinear tent partitions on the mesh-(1/n) grid over a box.
 
@@ -312,6 +320,7 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
     if abs(side - round(side)) > 1e-9:
         raise ValueError("box side length must be a whole number so meshes tile it exactly")
     side = int(round(side))
+    _check_resolution(n_max, lo, hi)
     dense = dyadic_dense()
 
     def build_level(n: int):
@@ -352,6 +361,7 @@ def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
         raise ValueError("domain must have positive length")
+    _check_resolution(n_max, lo, hi)
     dense = dyadic_dense()
 
     def build_level(n: int):
@@ -419,7 +429,7 @@ class CoverCellPartition:
     """
 
     cells: Sequence  # (key, membership predicate) pairs
-    provenance: str  # "disjointified" | "supplied"
+    provenance: str  # "disjointified"
     first_of: Callable[[object], Sequence] | None = None
 
     def cell_of(self, x):
@@ -458,58 +468,3 @@ def disjointify(cover: Sequence, first_of=None) -> CoverCellPartition:
         return cell_member
 
     return CoverCellPartition(tuple((key, cell(idx)) for idx, (key, _) in enumerate(items)), "disjointified", first_of)
-
-
-def supplied_partition(cells: Sequence) -> CoverCellPartition:
-    items = tuple((_as_key(key), member) for key, member in cells)
-    if not items:
-        raise CoverError("partition is empty")
-    return CoverCellPartition(items, "supplied")
-
-
-def _region_contains(region, x) -> bool:
-    if isinstance(region, SupportBox):
-        return region.contains(x)
-    return bool(region(x))
-
-
-@dataclass(frozen=True)
-class QuarterStratReport:
-    converges: tuple  # one bool per probe
-
-    @property
-    def all_converge(self) -> bool:
-        return all(self.converges)
-
-
-def quarter_strat_check(g, convergence_oracle, probes: Sequence) -> QuarterStratReport:
-    """Validate the stratification hypothesis and report convergence.
-
-    ``g(n, x_n)`` is an open-set descriptor (SupportBox or predicate) that
-    must contain the probe's limit point x for every n; a violation raises.
-    The oracle then decides whether each witness sequence converges to x.
-    """
-    results = []
-    for index, (x, seq) in enumerate(probes):
-        seq = list(seq)
-        for n, x_n in enumerate(seq, start=1):
-            region = g(n, x_n)
-            if not _region_contains(region, x):
-                raise CoverError(f"probe {index}: limit point escapes g({n}, x_{n}) membership")
-        results.append(bool(convergence_oracle(seq, x)))
-    return QuarterStratReport(tuple(results))
-
-
-def tail_convergence_oracle(eps: float = 1e-9, k: int = 3, mode: str = "euclidean"):
-    """Finite-window convergence surrogate: the last k terms sit within eps of
-    the limit (one-sided on the half-open line)."""
-
-    def oracle(seq, x) -> bool:
-        if len(seq) < k:
-            return False
-        tail = seq[-k:]
-        if mode == "sorgenfrey":
-            return all(x <= s and s - x <= eps for s in tail)
-        return all(_norm_metric(s, x) <= eps for s in tail)
-
-    return oracle

@@ -11,16 +11,13 @@ import pytest
 from equiblend.connectors import (
     Contraction,
     FamilyError,
-    HullWitness,
     OrderedWeightFamily,
     SimplexWeights,
     WeightError,
     affine_line,
     affine_space,
     contract_eval,
-    contraction_from_connector,
     convex_combination,
-    iterated_hull_contains,
     lambda_sum,
     make_contraction,
     straight_line_contraction,
@@ -234,9 +231,8 @@ def test_contraction_endpoints():
     with pytest.raises(WeightError):
         contract_eval(c, 0.8, 1.5)
 
-    sp = affine_line(2)
     star = np.array([1.0, -1.0])
-    c2 = contraction_from_connector(sp, star)
+    c2 = straight_line_contraction(star)
     z = np.array([0.25, 0.5])
     assert contract_eval(c2, z, 0.0) is z
     assert contract_eval(c2, z, 1.0) is star
@@ -248,27 +244,6 @@ def test_make_contraction_validates_callable():
     c = make_contraction(lambda z, t: z * (1.0 - t), 0.0, name="fade")
     assert isinstance(c, Contraction)
     assert c.name == "fade"
-
-
-def test_hull_witness_finds_interior_points():
-    sp = affine_line(1)
-    seeds = [np.array([0.0]), np.array([1.0])]
-    w = iterated_hull_contains(sp, seeds, n=2, probe=np.array([0.5]), trials=128, rng_seed=3)
-    assert isinstance(w, HullWitness)
-    assert w.found
-    assert w.distance <= 1e-9
-    assert len(w.points) == len(w.weights)
-
-    miss = iterated_hull_contains(sp, seeds, n=2, probe=np.array([2.0]), trials=128, rng_seed=3)
-    assert not miss.found
-
-
-def test_hull_witness_on_warped_segment():
-    wl = warped_line()
-    target = wl.connect(0.0, 2.0, 0.37)
-    w = iterated_hull_contains(wl, [0.0, 2.0], n=2, probe=target, trials=128, rng_seed=9)
-    assert w.found
-    assert w.distance <= 1e-9
 
 
 def test_renormalised_weights_match_numpy_bit_for_bit():

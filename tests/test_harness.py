@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 import math
 import os
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import equiblend
 from equiblend.harness import (
     ConfigError,
     DEFAULT_EPS,
@@ -24,7 +27,6 @@ from equiblend.harness import (
     render_json,
     report_data,
     run_scenario,
-    section_probe,
     suite_data,
 )
 
@@ -362,27 +364,6 @@ def test_csv_and_json_agree_numerically():
         assert float(cells[7]) == rec["terms"][-1]
 
 
-# ------------------------------------------------------------ section modulus
-
-
-def test_section_probe_shrinks_for_smooth_functions():
-    f = lambda x, y: x * x + y
-    vals = section_probe(f, 0.5, y_grid=(0.0, 1.0, -2.0), deltas=(1e-1, 1e-2, 1e-3))
-    assert all(b <= a for a, b in zip(vals, vals[1:]))
-    # |(x+d)^2 - x^2| = d(2x+d), independent of y for this f
-    assert vals[-1] == pytest.approx(1e-3 * (2 * 0.5 + 1e-3), rel=1e-12)
-
-
-def test_section_probe_right_sided_skips_the_left_step():
-    f = lambda x, y: (0.0 if x < 0.5 else 1.0) + 0.0 * y
-    two = section_probe(f, 0.5, y_grid=(0.0,), deltas=(1e-2,))
-    one = section_probe(f, 0.5, y_grid=(0.0,), deltas=(1e-2,), sided=True)
-    assert two == (1.0,)
-    assert one == (0.0,)
-    with pytest.raises(ValueError):
-        section_probe(f, 0.5, y_grid=(0.0,), deltas=(0.0,))
-
-
 # ----------------------------------------------------------------- CLI layer
 
 
@@ -562,6 +543,11 @@ MALFORMED = {
     "probe_x_beyond_the_floats": {"probes": [{"x": 10**400, "y": 0.5}]},
     "eps_beyond_the_floats": {"eps": 10**400},
     "rational_y_beyond_the_floats": {"probes": [{"x": 0.25, "y": {"rational": [10**400, 1]}}]},
+    "grid_level_beyond_the_floats": {"schedule": [1, 2, 10**400]},
+    "grid_level_finer_than_the_floats": {"schedule": [1, 2, 10**18]},
+    "anchor_sorgenfrey_level_beyond_the_floats": {"operator": "piecewise_anchor", "scheme": {"kind": "sorgenfrey"}, "schedule": [1, 2, 10**400]},
+    "anchor_sorgenfrey_level_finer_than_the_floats": {"operator": "piecewise_anchor", "scheme": {"kind": "sorgenfrey"}, "schedule": [1, 2, 10**18]},
+    "blend_sorgenfrey_level_finer_than_the_floats": {"scheme": {"kind": "sorgenfrey"}, "schedule": [1, 2, 10**18]},
 }
 
 
@@ -574,3 +560,33 @@ def test_cli_malformed_scenario_is_one_config_error_line(tmp_path, name):
     assert out.stderr.startswith("config error:")
     assert len(out.stderr.splitlines()) == 1
     assert "Traceback" not in out.stderr
+
+
+def test_the_finest_level_is_bounded_by_the_float_resolution_of_the_box():
+    # math.ulp(1.0) is 2**-52: on [-1, 1] a mesh wider than that parses and
+    # runs, and a mesh no wider is a configuration error
+    box = {"scheme": {"kind": "grid", "dim": 1, "lo": -1.0, "hi": 1.0}, "probes": [{"x": 0.25, "y": 0.5}, {"x": 1.0, "y": 0.5}]}
+    report = report_data(run_scenario(Scenario.from_dict(_minimal_dict(**box, schedule=[1, 2, 2**51]))))
+    assert report["summary"]["all_passed"]
+    with pytest.raises(ConfigError, match="finer than the floats resolve") as info:
+        Scenario.from_dict(_minimal_dict(**box, schedule=[1, 2, 2**52]))
+    assert str(2**52) not in str(info.value)
+
+
+# ------------------------------------------------------------ package surface
+
+
+def _names_read(tree: ast.AST) -> set:
+    """Every name a module reads, attribute names included."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_export_is_reached_by_the_package_or_an_acceptance_criterion():
+    root = SCENARIO_DIR.parent
+    acceptance = ast.parse((root / "tests" / "test_acceptance.py").read_text())
+    used = _names_read(acceptance) | {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for path in (root / "src" / "equiblend").glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _names_read(ast.parse(path.read_text()))
+    exports = {name for name in equiblend.__all__ if not inspect.ismodule(getattr(equiblend, name))}
+    assert sorted(exports - used) == []

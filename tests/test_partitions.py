@@ -24,10 +24,7 @@ from equiblend.partitions import (
     dyadic_dense,
     grid_scheme,
     pointwise_finiteness,
-    quarter_strat_check,
     sorgenfrey_scheme,
-    supplied_partition,
-    tail_convergence_oracle,
     verify_anchoring,
 )
 
@@ -506,61 +503,6 @@ def test_disjointify_random_covers():
             key = part.cell_of(x)
             expected = next(j for j, member in cells if member(x))
             assert key == (expected,)
-
-
-def test_supplied_partition_requires_exactly_one_cell():
-    part = supplied_partition(
-        [
-            (1, SupportBox.interval(0.0, 0.5, closed_hi=False).contains),
-            (2, SupportBox.interval(0.5, 1.0).contains),
-        ]
-    )
-    assert part.cell_of(0.25) == (1,)
-    assert part.cell_of(0.5) == (2,)
-    assert part.provenance == "supplied"
-    bad = supplied_partition(
-        [
-            (1, SupportBox.interval(0.0, 0.6).contains),
-            (2, SupportBox.interval(0.4, 1.0).contains),
-        ]
-    )
-    with pytest.raises(CoverError):
-        bad.cell_of(0.5)
-
-
-# --------------------------------------------------- quarter-stratified check
-
-
-def _shrinking_cells(n: int, x_n: float) -> SupportBox:
-    return SupportBox.interval(x_n - 1.0 / n, x_n + 1.0 / n)
-
-
-def test_quarter_strat_accepts_convergent_assignment():
-    oracle = tail_convergence_oracle(eps=1e-2, k=3, mode="euclidean")
-    probes = []
-    for x in (0.2, 0.5, 0.8):
-        # offsets strictly inside the level-n window radius 1/n
-        seq = tuple(x + (-1.0) ** n / ((n + 1) * (n + 1)) for n in range(1, 13))
-        probes.append((x, seq))
-    report = quarter_strat_check(_shrinking_cells, oracle, probes)
-    assert report.all_converge
-    assert all(report.converges)
-
-
-def test_quarter_strat_flags_escaping_sequence():
-    oracle = tail_convergence_oracle(eps=1e-2, k=3, mode="euclidean")
-    seq = tuple(0.5 + 0.3 * (-1.0) ** n for n in range(1, 13))
-    with pytest.raises(CoverError):
-        # the cells around the oscillating tail quit containing the base point
-        quarter_strat_check(_shrinking_cells, oracle, [(0.5, seq)])
-
-
-def test_one_sided_oracle_rejects_left_approach():
-    sorg = tail_convergence_oracle(eps=1e-2, k=3, mode="sorgenfrey")
-    right = tuple(0.5 + 1.0 / (n * n) for n in range(1, 16))
-    left = tuple(0.5 - 1.0 / (n * n) for n in range(1, 16))
-    assert sorg(right, 0.5)
-    assert not sorg(left, 0.5)
 
 
 # ---------------------------------------------------------------- describe()
