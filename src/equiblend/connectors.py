@@ -3,8 +3,7 @@
 A connector space is a point universe together with a continuous path map
 ``connect(x, y, t)`` joining any two points for t in [0, 1], with exact
 endpoints and ``connect(x, x, t) == x``.  Weighted n-point combinations are
-folded through ``connect`` by a fixed left-to-right recursion; ordered weight
-families build on top of that.
+folded through ``connect`` by a fixed left-to-right recursion.
 """
 
 from __future__ import annotations
@@ -16,17 +15,12 @@ from operator import add
 from typing import Callable, Sequence
 
 Point = "float | tuple"
-Key = tuple
 
 # validation slack before weights are renormalised
 WEIGHT_ATOL = 1e-9
 
 
 class WeightError(ValueError):
-    pass
-
-
-class FamilyError(ValueError):
     pass
 
 
@@ -213,23 +207,6 @@ def _clean_weights(values) -> tuple:
     return _normalised(tuple(0.0 if v < 0.0 else v for v in w))
 
 
-@dataclass(frozen=True)
-class SimplexWeights:
-    """Nonnegative weights summing to one (renormalised within 1e-9).
-
-    Exact zeros are preserved: renormalisation divides, never shifts, so a
-    0.0 entry stays 0.0 and the recursion's zero branch remains reachable.
-    """
-
-    weights: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _clean_weights(self.weights))
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
 def _fold(space: ConnectorSpace, points: list, weights: tuple) -> Point:
     for p in points:
         size = len(_coords(p))
@@ -254,62 +231,19 @@ def convex_combination(space: ConnectorSpace, points: Sequence, weights) -> Poin
     nonnegative, so both are exact zeros) the first entry is dropped.  Exact
     zero weights therefore never move the result.
     """
-    w = weights.weights if isinstance(weights, SimplexWeights) else _clean_weights(weights)
+    w = _clean_weights(weights)
     pts = list(points)
     if len(pts) != len(w):
         raise WeightError(f"{len(pts)} points with {len(w)} weights")
     return _fold(space, pts, w)
 
 
-def _as_key(key) -> Key:
-    # bools hash and compare like 0 and 1, but are not keys
-    if isinstance(key, tuple):
-        if not key or not all(type(k) is int for k in key):
-            raise FamilyError(f"keys must be integer tuples, got {key!r}")
-        return key
-    if type(key) is int:
-        return (key,)
-    raise FamilyError(f"keys must be integers or integer tuples, got {key!r}")
-
-
-@dataclass(frozen=True)
-class OrderedWeightFamily:
-    """Finitely many (key, weight, point) entries with strictly increasing keys.
-
-    Keys are integer tuples compared lexicographically; bare integers are
-    wrapped as 1-tuples.  Nonzero weights must sum to 1 within 1e-9.
-    """
-
-    entries: tuple
-
-    def __post_init__(self):
-        cleaned = []
-        for key, weight, point in self.entries:
-            weight = float(weight)
-            if weight < -WEIGHT_ATOL or weight > 1.0 + WEIGHT_ATOL:
-                raise WeightError(f"family weight {weight!r} outside [0, 1]")
-            cleaned.append((_as_key(key), max(weight, 0.0), point))
-        for (a, _, _), (b, _, _) in zip(cleaned, cleaned[1:]):
-            if not a < b:
-                raise FamilyError(f"keys not strictly increasing: {a!r} then {b!r}")
-        total = sum(w for _, w, _ in cleaned if w != 0.0)
-        if cleaned and abs(total - 1.0) > WEIGHT_ATOL:
-            raise WeightError(f"nonzero family weights sum to {total!r}")
-        object.__setattr__(self, "entries", tuple(cleaned))
-
-    def support(self) -> tuple:
-        """Entries with nonzero weight, in key order."""
-        return tuple(e for e in self.entries if e[1] != 0.0)
-
-
-def lambda_sum(space: ConnectorSpace, family: OrderedWeightFamily) -> Point:
-    """Connector sum of a family: fold the nonzero-weight entries, in key
-    order, as :func:`convex_combination` does.  The family has checked each
-    weight, so the weights are only renormalised."""
-    live = family.support()
-    if not live:
-        raise FamilyError("family has empty nonzero support")
-    return _fold(space, [p for _, _, p in live], _normalised(tuple(w for _, w, _ in live)))
+def lambda_sum(space: ConnectorSpace, points: Sequence, weights: Sequence[float]) -> Point:
+    """Connector sum: fold the points with their weights, in the given
+    order, as :func:`convex_combination` does.  The weights are a bump
+    family's positive values in key order; the family bounds each one, so
+    they are only renormalised."""
+    return _fold(space, list(points), _normalised(tuple(weights)))
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,9 @@ class ConfigError(ValueError):
 SCENARIO_KEYS = ("name", "x_space", "z_space", "function", "scheme", "operator", "probes", "schedule", "eps", "rng_seed")
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 DEFAULT_EPS = 1e-3
+# the largest fan row and tower_tail level: stage n of the fan's towers
+# enumerates n rationals
+MAX_STAGE = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +206,13 @@ def _parse_x(spec, fn_kind: str):
         _require(fn_kind == "sequential", "sequential x specs only apply to sequential-fan functions")
         form = spec["sequential"]
         _require(isinstance(form, (list, tuple)) and form and isinstance(form[0], str), f"bad sequential spec {form!r}")
-        try:
-            if form[0] == "origin" and len(form) == 1:
-                return SequentialPoint.origin()
-            if form[0] == "level" and len(form) == 2:
-                return SequentialPoint.level(int(form[1]))
-            if form[0] == "leaf" and len(form) == 3:
-                return SequentialPoint.leaf(int(form[1]), int(form[2]))
-        except ValueError as exc:
-            raise ConfigError(f"bad sequential spec {form!r}: {exc}") from exc
-        raise ConfigError(f"bad sequential spec {form!r}")
+        kind, indices = form[0], form[1:]
+        _require(len(indices) == {"origin": 0, "level": 1, "leaf": 2}.get(kind), f"bad sequential spec {form!r}")
+        _require(all(isinstance(v, int) and not isinstance(v, bool) for v in indices), f"bad sequential spec {form!r}: indices must be integers")
+        _require(not indices or indices[0] <= MAX_STAGE, f"bad sequential spec: the row index exceeds {MAX_STAGE}")
+        if kind == "leaf":
+            _as_number(indices[1], "bad sequential spec: the leaf index lies beyond the floats")
+        return _build(f"sequential spec {form!r}", SequentialPoint, kind, *indices)
     _require(fn_kind != "sequential", "sequential-fan functions need {'sequential': ...} x specs")
     if isinstance(spec, (list, tuple)):
         values = [_as_number(v, f"bad x coordinate {v!r}") for v in spec]
@@ -373,6 +373,10 @@ class Scenario:
             _require(not isinstance(x, tuple) or not spec.scalar_x, f"probe {index}: {fn_name} takes a scalar x, not {probe['x']!r}")
             parsed.append((x, _parse_y(probe["y"])))
         function = spec.make()
+        if operator == "tower_tail":
+            _require(schedule[-1] <= MAX_STAGE, f"tower_tail schedule levels may be at most {MAX_STAGE}")
+            for index, (x, _) in enumerate(parsed):
+                _require(function.tower_at(x) is not None, f"probe {index}: {fn_name} has no anchor tower at {probes_raw[index]['x']!r}")
         if spec.kind == "ambiguous":
             # the limit is defined only where some cell's core captures x
             target = function.target()
@@ -444,12 +448,7 @@ def _run_levels(scenario: Scenario, term_at, target):
 
 
 def _run_towers(scenario: Scenario):
-    pairs = []
-    for x, y in scenario.probes:
-        tower = scenario.function.tower_at(x)
-        if tower is None:
-            raise ConfigError(f"no anchor tower at {x!r}")
-        pairs.append(tower_terms(tower, y, scenario.schedule))
+    pairs = [tower_terms(scenario.function.tower_at(x), y, scenario.schedule) for x, y in scenario.probes]
     return [terms for terms, _ in pairs], [target for _, target in pairs]
 
 

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
-from .connectors import (
-    Contraction,
-    ConnectorSpace,
-    OrderedWeightFamily,
-    _norm_metric,
-    lambda_sum,
-)
+from .connectors import Contraction, ConnectorSpace, _norm_metric, lambda_sum
 from .partitions import AnchoredScheme, CoverCellPartition, SupportBox, _MapView, disjointify
 
 
@@ -130,10 +124,10 @@ def lambda_blend(f: SectionedFunction, scheme: AnchoredScheme, z_space: Connecto
     family, anchors = scheme.level(n)
 
     def term(x, y):
-        entries = [(key, w, f.eval(anchors[key], y)) for key, w in family.weights_at(x) if w > 0.0]
-        if not entries:
+        live = [(key, w) for key, w in family.weights_at(x) if w > 0.0]
+        if not live:
             raise PartitionViolationError(f"no bump is positive at {x!r} (level {n})")
-        return lambda_sum(z_space, OrderedWeightFamily(tuple(entries)))
+        return lambda_sum(z_space, [f.eval(anchors[key], y) for key, _ in live], [w for _, w in live])
 
     return term
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Mapping, Sequence
 
-from .connectors import Key, _as_key, _check_dim, _coords, _norm_metric
+from .connectors import _check_dim, _coords, _norm_metric
+
+Key = tuple
 
 
 class DenseSetError(RuntimeError):
@@ -28,6 +30,21 @@ class CoverError(ValueError):
 
 class AnchoringError(ValueError):
     pass
+
+
+class FamilyError(ValueError):
+    pass
+
+
+def _as_key(key) -> Key:
+    # bools hash and compare like 0 and 1, but are not keys
+    if isinstance(key, tuple):
+        if not key or not all(type(k) is int for k in key):
+            raise FamilyError(f"keys must be integer tuples, got {key!r}")
+        return key
+    if type(key) is int:
+        return (key,)
+    raise FamilyError(f"keys must be integers or integer tuples, got {key!r}")
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,8 @@ import pytest
 
 from equiblend.connectors import (
     Contraction,
-    FamilyError,
-    OrderedWeightFamily,
-    SimplexWeights,
     WeightError,
+    _clean_weights,
     affine_line,
     affine_space,
     contract_eval,
@@ -76,16 +74,16 @@ def test_affine_membership_needs_finite_points_of_the_space_dim(space, dim):
 
 
 def test_simplex_weights_validation():
-    w = SimplexWeights((0.25, 0.25, 0.5))
-    assert sum(w.weights) == 1.0
+    w = _clean_weights((0.25, 0.25, 0.5))
+    assert sum(w) == 1.0
     with pytest.raises(WeightError):
-        SimplexWeights((0.5, 0.6))
+        _clean_weights((0.5, 0.6))
     with pytest.raises(WeightError):
-        SimplexWeights((-0.2, 1.2))
+        _clean_weights((-0.2, 1.2))
     # tiny negatives clamp to exact zero, tiny drift renormalizes
-    w2 = SimplexWeights((-1e-12, 0.3, 0.7 + 1e-10))
-    assert w2.weights[0] == 0.0
-    assert sum(w2.weights) == 1.0
+    w2 = _clean_weights((-1e-12, 0.3, 0.7 + 1e-10))
+    assert w2[0] == 0.0
+    assert sum(w2) == 1.0
 
 
 def test_affine_combination_matches_weighted_average():
@@ -190,23 +188,12 @@ def test_warped_midpoint_respects_cubic_pull():
     assert abs(h(mid) - 0.5 * (h(0.0) + h(2.0))) <= 1e-9
 
 
-def test_ordered_family_key_discipline():
-    p = np.zeros(1)
-    with pytest.raises(FamilyError):
-        OrderedWeightFamily(entries=(((2,), 0.5, p), ((1,), 0.5, p)))
-    with pytest.raises(FamilyError):
-        OrderedWeightFamily(entries=(((1,), 0.5, p), ((1,), 0.5, p)))
-    fam = OrderedWeightFamily(entries=((1, 0.25, p), (4, 0.75, p)))
-    assert [k for k, _, _ in fam.support()] == [(1,), (4,)]
-
-
 def test_lambda_sum_single_entry_returns_the_point():
     sp = affine_line(2)
     p = np.array([0.1, 0.2])
-    fam = OrderedWeightFamily(entries=(((3,), 1.0, p),))
-    assert lambda_sum(sp, fam) is p
-    with pytest.raises(FamilyError):
-        lambda_sum(sp, OrderedWeightFamily(entries=()))
+    assert lambda_sum(sp, [p], [1.0]) is p
+    with pytest.raises(WeightError):
+        lambda_sum(sp, [], [])
 
 
 def test_lambda_sum_matches_convex_combination():
@@ -217,10 +204,7 @@ def test_lambda_sum_matches_convex_combination():
         raw = rng.uniform(0.1, 1.0, size=k)
         weights = raw / raw.sum()
         pts = [rng.uniform(-1.0, 1.0, size=2) for _ in range(k)]
-        fam = OrderedWeightFamily(
-            entries=tuple(((j,), float(weights[j]), pts[j]) for j in range(k))
-        )
-        assert _bits(lambda_sum(sp, fam)) == _bits(convex_combination(sp, pts, weights))
+        assert _bits(lambda_sum(sp, pts, [float(v) for v in weights])) == _bits(convex_combination(sp, pts, weights))
 
 
 def test_contraction_endpoints():
@@ -264,9 +248,9 @@ def test_renormalised_weights_match_numpy_bit_for_bit():
             expected = np.asarray(w) / np.sum(w)
             if abs(float(np.sum(w)) - 1.0) > atol:
                 with pytest.raises(WeightError):
-                    SimplexWeights(w)
+                    _clean_weights(w)
                 continue
-            got = SimplexWeights(w).weights
+            got = _clean_weights(w)
             assert len(got) == n
             assert _bits(got) == _bits(expected), n
 

@@ -18,6 +18,7 @@ from equiblend.harness import (
     ConfigError,
     DEFAULT_EPS,
     DEFAULT_SCHEDULE,
+    MAX_STAGE,
     OPERATORS,
     REGISTRY,
     SCHEMES,
@@ -31,6 +32,9 @@ from equiblend.harness import (
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+FAN = {"function": "example1", "operator": "tower_tail", "scheme": {"kind": "none"}}
 
 
 def _minimal_dict(**overrides) -> dict:
@@ -248,17 +252,24 @@ def test_tower_tail_scenario_at_the_anchor_point():
 
 
 def test_tower_tail_needs_a_regularity_anchor():
-    sc = Scenario.from_dict(
-        {
-            "name": "tt_off",
-            "function": "example2",
-            "operator": "tower_tail",
-            "probes": [{"x": 0.3, "y": 0.0}],
-            "schedule": [1, 2, 4],
-        }
-    )
-    with pytest.raises(ConfigError):
-        run_scenario(sc)
+    # found at parse time, before any scenario of a suite runs
+    with pytest.raises(ConfigError, match="no anchor tower"):
+        Scenario.from_dict(
+            {
+                "name": "tt_off",
+                "function": "example2",
+                "operator": "tower_tail",
+                "probes": [{"x": 0.3, "y": 0.0}],
+                "schedule": [1, 2, 4],
+            }
+        )
+
+
+def test_tower_tail_levels_are_bounded():
+    origin = {**FAN, "probes": [{"x": {"sequential": ["origin"]}, "y": 0.5}]}
+    assert Scenario.from_dict(_minimal_dict(**origin, schedule=[1, 2, MAX_STAGE])).schedule[-1] == MAX_STAGE
+    with pytest.raises(ConfigError, match="at most"):
+        Scenario.from_dict(_minimal_dict(**origin, schedule=[1, 2, MAX_STAGE + 1]))
 
 
 def test_ambiguous_scenario_converges_on_cores():
@@ -548,6 +559,17 @@ MALFORMED = {
     "anchor_sorgenfrey_level_beyond_the_floats": {"operator": "piecewise_anchor", "scheme": {"kind": "sorgenfrey"}, "schedule": [1, 2, 10**400]},
     "anchor_sorgenfrey_level_finer_than_the_floats": {"operator": "piecewise_anchor", "scheme": {"kind": "sorgenfrey"}, "schedule": [1, 2, 10**18]},
     "blend_sorgenfrey_level_finer_than_the_floats": {"scheme": {"kind": "sorgenfrey"}, "schedule": [1, 2, 10**18]},
+    "fan_row_not_an_integer": {**FAN, "probes": [{"x": {"sequential": ["level", 2.7]}, "y": 0.5}]},
+    "fan_leaf_not_an_integer": {**FAN, "probes": [{"x": {"sequential": ["leaf", 3, 9.5]}, "y": 0.5}]},
+    "fan_row_a_bool": {**FAN, "probes": [{"x": {"sequential": ["level", True]}, "y": 0.5}]},
+    "fan_row_a_string": {**FAN, "probes": [{"x": {"sequential": ["level", "3"]}, "y": 0.5}]},
+    "fan_row_infinite": {**FAN, "probes": [{"x": {"sequential": ["level", math.inf]}, "y": 0.5}]},
+    "fan_row_above_the_bound": {**FAN, "probes": [{"x": {"sequential": ["level", MAX_STAGE + 1]}, "y": 0.5}]},
+    "fan_row_huge": {**FAN, "probes": [{"x": {"sequential": ["level", 10**400]}, "y": 0.5}]},
+    "fan_leaf_beyond_the_floats": {**FAN, "probes": [{"x": {"sequential": ["leaf", 3, 10**400]}, "y": 0.5}]},
+    "fan_leaf_row_above_the_bound": {**FAN, "probes": [{"x": {"sequential": ["leaf", MAX_STAGE + 1, 2**50]}, "y": 0.5}]},
+    "fan_tower_level_huge": {**FAN, "probes": [{"x": {"sequential": ["origin"]}, "y": 0.5}], "schedule": [1, 2, 10**400]},
+    "tower_tail_without_an_anchor_tower": {"function": "product", "operator": "tower_tail", "scheme": {"kind": "none"}},
 }
 
 

@@ -11,14 +11,15 @@ import numpy as np
 import pytest
 
 from equiblend import partitions
-from equiblend.connectors import FamilyError, affine_line
-from equiblend.operators import SectionedFunction, anchored_cells, lambda_blend, piecewise_anchor
+from equiblend.connectors import affine_line, convex_combination
+from equiblend.operators import PartitionViolationError, SectionedFunction, anchored_cells, lambda_blend, piecewise_anchor
 from equiblend.partitions import (
     AnchoredScheme,
     AnchoringError,
     CoverCellPartition,
     CoverError,
     DenseSetError,
+    FamilyError,
     SupportBox,
     disjointify,
     dyadic_dense,
@@ -305,6 +306,25 @@ def test_candidate_lookup_matches_the_full_scan():
                 expected_cells = [expected]
             if len(fam.index_keys) <= 100:  # each cell predicate is a lookup
                 assert [k for k, member in cells.cells if member(x)] == expected_cells
+
+
+def test_a_blend_term_is_the_convex_combination_of_its_live_anchor_sections():
+    # lambda_sum only renormalises the bump values, so at the adversarial
+    # lookup points a term must carry the bits of the validated fold
+    z_space = affine_line()
+    f = SectionedFunction.from_callable(lambda a, y: math.sin(3.0 * math.fsum(np.atleast_1d(a))) + y)
+    y = 0.375
+    for scheme, n, points in _lookup_cases():
+        family, anchors = scheme.level(n)
+        term = lambda_blend(f, scheme, z_space, n)
+        for x in points:
+            live = [(k, w) for k, w in family.weights_at(x) if w > 0.0]
+            if not live:
+                with pytest.raises(PartitionViolationError):
+                    term(x, y)
+                continue
+            expected = convex_combination(z_space, [f.eval(anchors[k], y) for k, _ in live], [w for _, w in live])
+            assert np.float64(term(x, y)).tobytes() == np.float64(expected).tobytes(), (n, x)
 
 
 def _key_views():
