@@ -9,10 +9,10 @@ folded through ``connect`` by a fixed left-to-right recursion.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Callable, Sequence
 
 Point = "float | tuple"
 
@@ -51,6 +51,7 @@ def _norm_metric(a, b) -> float:
     return math.dist(_coords(a), _coords(b))
 
 
+# stays a dataclass: bench/spans.py calls dataclasses.replace on it
 @dataclass(frozen=True)
 class ConnectorSpace:
     """A point universe with a two-point path map.
@@ -246,13 +247,13 @@ def lambda_sum(space: ConnectorSpace, points: Sequence, weights: Sequence[float]
     return _fold(space, list(points), _normalised(tuple(weights)))
 
 
-@dataclass(frozen=True)
 class Contraction:
     """A map gamma(z, t) sliding every point to ``star`` as t goes 0 -> 1."""
 
-    gamma: Callable[[Point, float], Point]
-    star: Point
-    name: str = ""
+    __slots__ = ("gamma", "star", "name")
+
+    def __init__(self, gamma: Callable[[Point, float], Point], star: Point, name: str = ""):
+        self.gamma, self.star, self.name = gamma, star, name
 
 
 def _with_contraction_identities(raw, star):

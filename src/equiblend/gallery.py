@@ -14,10 +14,9 @@ arithmetic that merely tends to the plateau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
 
 from .connectors import Contraction, straight_line_contraction
 from .operators import AmbiguousCell, BaireTower, SectionedFunction, ambiguous_limit, ambiguous_target
@@ -32,7 +31,6 @@ class GalleryError(RuntimeError):
 # tagged reals
 
 
-@dataclass(frozen=True)
 class TaggedReal:
     """A float together with what kind of real number it stands for.
 
@@ -41,16 +39,14 @@ class TaggedReal:
     ``plain`` makes no claim and compares purely by value.
     """
 
-    value: float
-    kind: str
-    frac: Fraction | None = None
+    __slots__ = ("value", "kind", "frac")
 
-    def __post_init__(self):
-        if self.kind not in ("rational", "irrational", "plain"):
-            raise ValueError(f"unknown tag kind {self.kind!r}")
-        if (self.kind == "rational") != (self.frac is not None):
+    def __init__(self, value: float, kind: str, frac: Fraction | None = None):
+        if kind not in ("rational", "irrational", "plain"):
+            raise ValueError(f"unknown tag kind {kind!r}")
+        if (kind == "rational") != (frac is not None):
             raise ValueError("rational tags carry a fraction, other tags must not")
-        object.__setattr__(self, "value", float(self.value))
+        self.value, self.kind, self.frac = float(value), kind, frac
         if not math.isfinite(self.value):
             raise ValueError("tagged reals must be finite")
 
@@ -214,7 +210,6 @@ def cosine_bump(u: float, v: float, a: float) -> float:
     return math.cos(math.pi * d / (2.0 * v))
 
 
-@dataclass(frozen=True)
 class CollapsingBump:
     """Two-variable bump phi(x) * cap(y) whose y-cap collapses to a single
     spike where the width function vanishes.
@@ -226,12 +221,19 @@ class CollapsingBump:
     inactive points must satisfy phi == 0.
     """
 
-    phi: Callable[[object], float]
-    psi: Callable[[object], float]
-    center: TaggedReal
-    peak_set: Callable[[object], bool]
-    active_set: Callable[[object], bool]
-    spike_set: Callable[[object], bool]
+    __slots__ = ("phi", "psi", "center", "peak_set", "active_set", "spike_set")
+
+    def __init__(
+        self,
+        phi: Callable[[object], float],
+        psi: Callable[[object], float],
+        center: TaggedReal,
+        peak_set: Callable[[object], bool],
+        active_set: Callable[[object], bool],
+        spike_set: Callable[[object], bool],
+    ):
+        self.phi, self.psi, self.center = phi, psi, center
+        self.peak_set, self.active_set, self.spike_set = peak_set, active_set, spike_set
 
     def __call__(self, x, y) -> float:
         w = float(self.phi(x))
@@ -298,18 +300,17 @@ def collapsing_instance() -> CollapsingBump:
 # finitely-supported sequences and their nested shells
 
 
-@dataclass(frozen=True)
 class FinSeq:
     """A finitely-supported real sequence, stored sparsely as
     ((index, coefficient), ...) with 1-based strictly increasing indices and
     nonzero coefficients."""
 
-    entries: tuple = ()
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: tuple = ()):
         cleaned = []
         last = 0
-        for index, coeff in self.entries:
+        for index, coeff in entries:
             index = int(index)
             coeff = float(coeff)
             if index <= last:
@@ -320,7 +321,7 @@ class FinSeq:
                 raise ValueError("coefficients must be finite")
             cleaned.append((index, coeff))
             last = index
-        object.__setattr__(self, "entries", tuple(cleaned))
+        self.entries = tuple(cleaned)
 
     @classmethod
     def zero(cls) -> "FinSeq":
@@ -358,11 +359,6 @@ class FinSeq:
 
     def head_sup(self, k: int) -> float:
         return max((abs(c) for i, c in self.entries if i <= k), default=0.0)
-
-
-def sup_distance(a: FinSeq, b: FinSeq) -> float:
-    indices = {i for i, _ in a.entries} | {i for i, _ in b.entries}
-    return max((abs(a.coeff(i) - b.coeff(i)) for i in indices), default=0.0)
 
 
 def in_supported_ball(x: FinSeq, k: int) -> bool:
@@ -579,25 +575,31 @@ def slice_modulus(y, deltas: Sequence[float], samples: int = 41, n_terms_cap: in
 # sequential fan
 
 
-@dataclass(frozen=True)
 class SequentialPoint:
     """A point of the fan: the hub, a row point, or a row-m leaf (rows only
     carry leaves from m = n^2 on)."""
 
-    kind: str
-    n: int = 0
-    m: int = 0
+    __slots__ = ("kind", "n", "m")
 
-    def __post_init__(self):
-        if self.kind not in ("origin", "level", "leaf"):
-            raise ValueError(f"unknown point kind {self.kind!r}")
-        if self.kind == "origin" and (self.n or self.m):
+    def __init__(self, kind: str, n: int = 0, m: int = 0):
+        if kind not in ("origin", "level", "leaf"):
+            raise ValueError(f"unknown point kind {kind!r}")
+        if kind == "origin" and (n or m):
             raise ValueError("the origin carries no indices")
-        if self.kind == "level" and (self.n < 1 or self.m):
+        if kind == "level" and (n < 1 or m):
             raise ValueError("row points need n >= 1 and no leaf index")
-        if self.kind == "leaf":
-            if self.n < 1 or self.m < self.n * self.n:
+        if kind == "leaf":
+            if n < 1 or m < n * n:
                 raise ValueError("leaves need n >= 1 and m >= n^2")
+        self.kind, self.n, self.m = kind, n, m
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.n, self.m) == (other.kind, other.n, other.m)
+
+    def __hash__(self):
+        return hash((self.kind, self.n, self.m))
 
     @classmethod
     def origin(cls) -> "SequentialPoint":
@@ -671,12 +673,13 @@ def sequential_convergence_probe(target: SequentialPoint, seq: Sequence[Sequenti
 # two-cell glued limit on the line
 
 
-@dataclass(frozen=True)
 class TwoCellInstance:
     """A contraction together with two ambiguous cells splitting the line."""
 
-    contraction: Contraction
-    cells: tuple
+    __slots__ = ("contraction", "cells")
+
+    def __init__(self, contraction: Contraction, cells: tuple):
+        self.contraction, self.cells = contraction, cells
 
     def term(self, n: int):
         return ambiguous_limit(self.contraction, self.cells, n)

@@ -18,8 +18,8 @@ import csv
 import io
 import json
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .connectors import _coords, affine_line, affine_space, warped_line
 from .gallery import (
@@ -61,6 +61,7 @@ MAX_STAGE = 2**20
 # function registry
 
 
+# stays a dataclass: bench/spans.py calls dataclasses.replace on it
 @dataclass(frozen=True)
 class FunctionSpec:
     kind: str  # "pointwise" | "sequential" | "ambiguous"
@@ -114,18 +115,22 @@ REGISTRY = {
 }
 
 
-@dataclass(frozen=True)
 class SchemeSpec:
-    required: tuple  # config keys the kind needs
-    optional: tuple  # further config keys it reads
-    build: Callable  # (config, n_max) -> AnchoredScheme
-    x_space: Callable  # config -> default x_space config
+    __slots__ = ("required", "optional", "build", "x_space")
+
+    def __init__(self, required: tuple, optional: tuple, build: Callable, x_space: Callable):
+        self.required = required  # config keys the kind needs
+        self.optional = optional  # further config keys it reads
+        self.build = build  # (config, n_max) -> AnchoredScheme
+        self.x_space = x_space  # config -> default x_space config
 
 
-@dataclass(frozen=True)
 class KindSpec:
-    keys: tuple  # config keys the kind reads besides "kind"
-    build: Callable  # config -> built object
+    __slots__ = ("keys", "build")
+
+    def __init__(self, keys: tuple, build: Callable):
+        self.keys = keys  # config keys the kind reads besides "kind"
+        self.build = build  # config -> built object
 
 
 # Entries call the constructors as module globals at call time, so a wrapper
@@ -140,7 +145,7 @@ SCHEMES = {
     "sorgenfrey": SchemeSpec(
         (),
         ("domain",),
-        lambda cfg, n_max: sorgenfrey_scheme(n_max=n_max, domain=tuple(cfg.get("domain", (0.0, 1.0)))),
+        lambda cfg, n_max: sorgenfrey_scheme(n_max=n_max, domain=_domain(cfg, "domain")),
         lambda cfg: {"kind": "half_open_line", "domain": list(cfg.get("domain", (0.0, 1.0)))},
     ),
 }
@@ -221,10 +226,15 @@ def _parse_x(spec, fn_kind: str):
     return _as_number(spec, f"bad x spec {spec!r}")
 
 
-def _x_half_open_line(cfg: dict):
+def _domain(cfg: dict, what: str) -> tuple:
+    """A config's ``domain``, [0, 1] by default: two finite numbers."""
     domain = cfg.get("domain", (0.0, 1.0))
-    _require(isinstance(domain, (list, tuple)) and len(domain) == 2, f"half_open_line domain must be [lo, hi], got {domain!r}")
-    lo, hi = (_as_number(v, f"half_open_line domain must be numbers, got {domain!r}") for v in domain)
+    _require(isinstance(domain, (list, tuple)) and len(domain) == 2, f"{what} must be [lo, hi], got {domain!r}")
+    return tuple(_as_number(v, f"{what} must be numbers, got {domain!r}") for v in domain)
+
+
+def _x_half_open_line(cfg: dict):
+    lo, hi = _domain(cfg, "half_open_line domain")
     return lambda x: isinstance(x, float) and lo <= x < hi
 
 
@@ -274,22 +284,37 @@ def _default_x_space(scheme_cfg: dict, fn_kind: str) -> dict:
     return {"kind": "real_line"}
 
 
-@dataclass
 class Scenario:
-    name: str
-    fn_name: str
-    operator: str
-    x_cfg: dict
-    z_cfg: dict
-    scheme_cfg: dict
-    probes: tuple  # ((x, y TaggedReal), ...) parsed
-    probes_raw: tuple
-    schedule: tuple
-    eps: float
-    rng_seed: int
-    function: object  # REGISTRY[fn_name].make()
-    scheme: object  # AnchoredScheme to max(schedule), or None
-    z_space: object  # ConnectorSpace
+    __slots__ = (
+        "name", "fn_name", "operator", "x_cfg", "z_cfg", "scheme_cfg", "probes",
+        "probes_raw", "schedule", "eps", "rng_seed", "function", "scheme", "z_space",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        fn_name: str,
+        operator: str,
+        x_cfg: dict,
+        z_cfg: dict,
+        scheme_cfg: dict,
+        probes: tuple,
+        probes_raw: tuple,
+        schedule: tuple,
+        eps: float,
+        rng_seed: int,
+        function,
+        scheme,
+        z_space,
+    ):
+        self.name, self.fn_name, self.operator = name, fn_name, operator
+        self.x_cfg, self.z_cfg, self.scheme_cfg = x_cfg, z_cfg, scheme_cfg
+        self.probes = probes  # ((x, y TaggedReal), ...) parsed
+        self.probes_raw = probes_raw
+        self.schedule, self.eps, self.rng_seed = schedule, eps, rng_seed
+        self.function = function  # REGISTRY[fn_name].make()
+        self.scheme = scheme  # AnchoredScheme to max(schedule), or None
+        self.z_space = z_space  # ConnectorSpace
 
     def echo(self) -> dict:
         return {
@@ -418,22 +443,19 @@ def load_scenario_file(path) -> Scenario:
 # running
 
 
-@dataclass(frozen=True)
 class ProbeRecord:
-    x: object  # raw probe specs, echoed
-    y: object
-    target: float
-    terms: tuple
-    gaps: tuple
-    passed: bool
-    final_gap: float
+    __slots__ = ("x", "y", "target", "terms", "gaps", "passed", "final_gap")
+
+    def __init__(self, x, y, target: float, terms: tuple, gaps: tuple, passed: bool, final_gap: float):
+        self.x, self.y = x, y  # raw probe specs, echoed
+        self.target, self.terms, self.gaps, self.passed, self.final_gap = target, terms, gaps, passed, final_gap
 
 
-@dataclass(frozen=True)
 class ScenarioReport:
-    scenario: dict
-    records: tuple
-    summary: dict
+    __slots__ = ("scenario", "records", "summary")
+
+    def __init__(self, scenario: dict, records: tuple, summary: dict):
+        self.scenario, self.records, self.summary = scenario, records, summary
 
 
 def _run_levels(scenario: Scenario, term_at, target):
@@ -452,11 +474,13 @@ def _run_towers(scenario: Scenario):
     return [terms for terms, _ in pairs], [target for _, target in pairs]
 
 
-@dataclass(frozen=True)
 class OperatorSpec:
-    kinds: tuple  # function kinds the operator accepts
-    needs_scheme: bool
-    run: Callable  # scenario -> (per-probe level terms, per-probe targets)
+    __slots__ = ("kinds", "needs_scheme", "run")
+
+    def __init__(self, kinds: tuple, needs_scheme: bool, run: Callable):
+        self.kinds = kinds  # function kinds the operator accepts
+        self.needs_scheme = needs_scheme
+        self.run = run  # scenario -> (per-probe level terms, per-probe targets)
 
 
 # Level terms call the operators as module globals at call time, so a wrapper

@@ -9,9 +9,9 @@ a level schedule.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
 
 from .connectors import Contraction, ConnectorSpace, _norm_metric, lambda_sum
 from .partitions import AnchoredScheme, CoverCellPartition, SupportBox, _MapView, disjointify
@@ -28,7 +28,6 @@ class DiscretenessError(ValueError):
 TAIL_K = 3
 
 
-@dataclass(frozen=True)
 class BaireTower:
     """A pointwise-limit tower of depth 0, 1 or 2.
 
@@ -37,17 +36,16 @@ class BaireTower:
     ``limit_eval`` pointwise as n grows.
     """
 
-    depth: int
-    limit_eval: Callable
-    tower: Callable[[int], "BaireTower"] | None = None
+    __slots__ = ("depth", "limit_eval", "tower")
 
-    def __post_init__(self):
-        if self.depth not in (0, 1, 2):
+    def __init__(self, depth: int, limit_eval: Callable, tower: Callable[[int], BaireTower] | None = None):
+        if depth not in (0, 1, 2):
             raise ValueError("tower depth must be 0, 1 or 2")
-        if self.depth == 0 and self.tower is not None:
+        if depth == 0 and tower is not None:
             raise ValueError("depth-0 towers carry no stages")
-        if self.depth > 0 and self.tower is None:
-            raise ValueError(f"depth-{self.depth} tower needs stages")
+        if depth > 0 and tower is None:
+            raise ValueError(f"depth-{depth} tower needs stages")
+        self.depth, self.limit_eval, self.tower = depth, limit_eval, tower
 
 
 def tail_check(values: Sequence, target, eps: float, k: int = TAIL_K):
@@ -63,13 +61,11 @@ def tail_check(values: Sequence, target, eps: float, k: int = TAIL_K):
     return passed, gaps, gaps[-1]
 
 
-@dataclass(frozen=True)
 class TailReport:
-    terms: tuple
-    target: object
-    gaps: tuple
-    passed: bool
-    final_gap: float
+    __slots__ = ("terms", "target", "gaps", "passed", "final_gap")
+
+    def __init__(self, terms: tuple, target, gaps: tuple, passed: bool, final_gap: float):
+        self.terms, self.target, self.gaps, self.passed, self.final_gap = terms, target, gaps, passed, final_gap
 
 
 def tower_terms(t: BaireTower, y, schedule: Sequence[int]) -> tuple:
@@ -92,6 +88,7 @@ def tower_tail(t: BaireTower, y, schedule: Sequence[int], eps: float, k_tail: in
     return TailReport(terms=terms, target=target, gaps=gaps, passed=passed, final_gap=final_gap)
 
 
+# stays a dataclass: bench/spans.py calls dataclasses.replace on it
 @dataclass(frozen=True)
 class SectionedFunction:
     """A two-variable function with access to its x-sections and optional
@@ -150,14 +147,14 @@ def piecewise_anchor(f: SectionedFunction, cells: CoverCellPartition, anchor_of_
     return term
 
 
-@dataclass(frozen=True)
 class GlueBump:
     """One bump of a discrete glue: weight function, y-section, and the
     declared support of the weight."""
 
-    phi: Callable[[object], float]
-    section: Callable
-    support: SupportBox
+    __slots__ = ("phi", "section", "support")
+
+    def __init__(self, phi: Callable[[object], float], section: Callable, support: SupportBox):
+        self.phi, self.section, self.support = phi, section, support
 
 
 def contractible_glue(c: Contraction, bumps: Sequence[GlueBump], x, y):
@@ -179,7 +176,6 @@ def contractible_glue(c: Contraction, bumps: Sequence[GlueBump], x, y):
     return c.gamma(bump.section(y), 1.0 - w)
 
 
-@dataclass(frozen=True)
 class AmbiguousCell:
     """Per-cell data for a limit over an ambiguous cover: an increasing core
     exhaustion inside shrinking-complement weight supports, plus a depth-1
@@ -190,15 +186,19 @@ class AmbiguousCell:
     cell's ambiguity set.
     """
 
-    key: tuple
-    phi: Callable[[int, object], float]
-    u_region: Callable[[int], SupportBox]
-    core_region: Callable[[int], SupportBox]
-    tower: BaireTower
+    __slots__ = ("key", "phi", "u_region", "core_region", "tower")
 
-    def __post_init__(self):
-        if self.tower.depth != 1:
+    def __init__(
+        self,
+        key: tuple,
+        phi: Callable[[int, object], float],
+        u_region: Callable[[int], SupportBox],
+        core_region: Callable[[int], SupportBox],
+        tower: BaireTower,
+    ):
+        if tower.depth != 1:
             raise ValueError("ambiguous cells carry depth-1 towers")
+        self.key, self.phi, self.u_region, self.core_region, self.tower = key, phi, u_region, core_region, tower
 
 
 def ambiguous_limit(c: Contraction, cells: Sequence[AmbiguousCell], n: int):

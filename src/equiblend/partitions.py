@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable, Mapping, Sequence
 
 from .connectors import _check_dim, _coords, _norm_metric
 
@@ -47,14 +47,21 @@ def _as_key(key) -> Key:
     raise FamilyError(f"keys must be integers or integer tuples, got {key!r}")
 
 
-@dataclass(frozen=True)
 class SupportBox:
     """Axis-aligned box with per-axis closed/open endpoint flags."""
 
-    lo: tuple
-    hi: tuple
-    closed_lo: tuple
-    closed_hi: tuple
+    __slots__ = ("lo", "hi", "closed_lo", "closed_hi")
+
+    def __init__(self, lo: tuple, hi: tuple, closed_lo: tuple, closed_hi: tuple):
+        self.lo, self.hi, self.closed_lo, self.closed_hi = lo, hi, closed_lo, closed_hi
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi, self.closed_lo, self.closed_hi) == (other.lo, other.hi, other.closed_lo, other.closed_hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi, self.closed_lo, self.closed_hi))
 
     @classmethod
     def interval(cls, lo: float, hi: float, closed_lo: bool = True, closed_hi: bool = True) -> "SupportBox":
@@ -148,7 +155,6 @@ class _MapView(Sequence):
         return self._fn(self._seq[index])
 
 
-@dataclass(frozen=True)
 class BumpFamily:
     """An indexed family of bumps with declared supports: key k's support is
     the box with i-th side ``interval(k[i])``.
@@ -160,10 +166,16 @@ class BumpFamily:
     whose interval may hold the coordinate v; a lookup tests only those.
     """
 
-    index_keys: _KeyView
-    bump: Callable[[Key, object], float]
-    interval: Callable[[int], SupportBox]
-    near: Callable[[float, range], range]
+    __slots__ = ("index_keys", "bump", "interval", "near")
+
+    def __init__(
+        self,
+        index_keys: _KeyView,
+        bump: Callable[[Key, object], float],
+        interval: Callable[[int], SupportBox],
+        near: Callable[[float, range], range],
+    ):
+        self.index_keys, self.bump, self.interval, self.near = index_keys, bump, interval, near
 
     def support_of(self, key) -> SupportBox:
         sides = [self.interval(j) for j in key]
@@ -191,6 +203,7 @@ class BumpFamily:
         return float(sum(v for _, v in self.weights_at(x)))
 
 
+# stays a dataclass: bench/spans.py calls dataclasses.replace on it
 @dataclass(frozen=True)
 class DenseSet:
     """A countable dense set given operationally: pick one of its points
@@ -437,7 +450,6 @@ def pointwise_finiteness(families: Sequence[BumpFamily], x) -> int:
     return max(len(f.active_keys(x)) for f in families)
 
 
-@dataclass(frozen=True)
 class CoverCellPartition:
     """Pairwise-disjoint indexed cells; each covered point lies in exactly one.
 
@@ -445,9 +457,12 @@ class CoverCellPartition:
     holding x, the cell is the first of them, and no cell predicate runs.
     """
 
-    cells: Sequence  # (key, membership predicate) pairs
-    provenance: str  # "disjointified"
-    first_of: Callable[[object], Sequence] | None = None
+    __slots__ = ("cells", "provenance", "first_of")
+
+    def __init__(self, cells: Sequence, provenance: str, first_of: Callable[[object], Sequence] | None = None):
+        self.cells = cells  # (key, membership predicate) pairs
+        self.provenance = provenance  # "disjointified"
+        self.first_of = first_of
 
     def cell_of(self, x):
         if self.first_of is not None:

@@ -37,7 +37,6 @@ from equiblend.gallery import (
     sequential_convergence_probe,
     slice_modulus,
     spike_width,
-    sup_distance,
     truncation_index,
 )
 from equiblend.operators import tower_tail
@@ -248,6 +247,13 @@ def test_finseq_construction_and_stats():
         FinSeq(entries=((2, 1.0), (1, 0.5)))
     with pytest.raises(ValueError):
         FinSeq(entries=((1, 0.0),))
+
+
+def sup_distance(a: FinSeq, b: FinSeq) -> float:
+    """The sup metric on finitely-supported sequences: the reference the
+    gap's Lipschitz bound is checked against."""
+    indices = {i for i, _ in a.entries} | {i for i, _ in b.entries}
+    return max((abs(a.coeff(i) - b.coeff(i)) for i in indices), default=0.0)
 
 
 def test_sup_distance_cases():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 import inspect
 import json
 import math
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import equiblend
+from equiblend.gallery import SequentialPoint
 from equiblend.harness import (
     ConfigError,
     DEFAULT_EPS,
@@ -30,6 +33,7 @@ from equiblend.harness import (
     run_scenario,
     suite_data,
 )
+from equiblend.partitions import SupportBox
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -441,6 +445,16 @@ def test_cli_non_finite_eps_is_a_config_error(value):
     assert len(out.stderr.splitlines()) == 1
 
 
+def test_cli_import_leaves_typing_unloaded():
+    # under -S, because site's .pth hooks may import typing themselves: the
+    # package takes its abstract bases from collections.abc and keeps its
+    # annotations as strings
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import equiblend.cli; print('typing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SCENARIO_DIR.parent / "src")], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run(
         [sys.executable, "-c", "import sys, equiblend.cli; print('scipy' in sys.modules)"],
@@ -521,6 +535,8 @@ def test_cli_suite_reruns_byte_identical(tmp_path):
 MALFORMED = {
     "affine_z_lo_above_hi": {"z_space": {"kind": "affine", "lo": 1.0, "hi": 0.0}},
     "sorgenfrey_domain_not_numbers": {"scheme": {"kind": "sorgenfrey", "domain": [0.0, "x"]}},
+    "sorgenfrey_domain_empty": {"scheme": {"kind": "sorgenfrey", "domain": []}},
+    "sorgenfrey_domain_one_number": {"scheme": {"kind": "sorgenfrey", "domain": [0.5]}},
     "grid_lo_not_a_number": {"scheme": {"kind": "grid", "dim": 1, "lo": "x", "hi": 1.0}},
     "grid_side_not_whole": {"scheme": {"kind": "grid", "dim": 1, "lo": 0.0, "hi": 1.5}},
     "z_dim_not_a_number": {"z_space": {"kind": "line", "dim": "x"}},
@@ -599,16 +615,83 @@ def test_the_finest_level_is_bounded_by_the_float_resolution_of_the_box():
 
 
 def _names_read(tree: ast.AST) -> set:
-    """Every name a module reads, attribute names included."""
-    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    """Every name a module reads, attribute names included; names it only
+    assigns are not read."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _names_defined(tree: ast.Module) -> set:
+    """The functions, classes and assigned names at a module's top level,
+    dunders aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("__")}
 
 
 def test_every_export_is_reached_by_the_package_or_an_acceptance_criterion():
+    # every module-level name of src/, exported or not: one that only its own
+    # unit tests reach is dead code
     root = SCENARIO_DIR.parent
     acceptance = ast.parse((root / "tests" / "test_acceptance.py").read_text())
     used = _names_read(acceptance) | {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined = set()
     for path in (root / "src" / "equiblend").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined |= _names_defined(tree)
         if path.name != "__init__.py":
-            used |= _names_read(ast.parse(path.read_text()))
+            used |= _names_read(tree)
     exports = {name for name in equiblend.__all__ if not inspect.ismodule(getattr(equiblend, name))}
-    assert sorted(exports - used) == []
+    assert exports <= defined
+    assert sorted(defined - used) == []
+
+
+# bench/spans.py calls dataclasses.replace on instances of these; every other
+# class of the package is a plain class, which is cheaper to create at import
+REPLACED_BY_THE_BENCH = {"ConnectorSpace", "DenseSet", "FunctionSpec", "SectionedFunction"}
+
+
+def test_the_only_dataclasses_are_the_ones_the_bench_replaces():
+    found = set()
+    for path in (SCENARIO_DIR.parent / "src" / "equiblend").glob("*.py"):
+        module = importlib.import_module(f"equiblend.{path.stem}") if path.stem != "__init__" else equiblend
+        found |= {name for name, obj in vars(module).items() if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj)}
+    assert found == REPLACED_BY_THE_BENCH
+
+
+# the converted classes whose instances a caller or test compares or hashes:
+# one instance, and one that differs from it in each field in turn
+VALUE_CLASSES = {
+    "SequentialPoint": (
+        lambda: SequentialPoint.leaf(2, 4),
+        [SequentialPoint.level(2), SequentialPoint.leaf(3, 9), SequentialPoint.leaf(2, 5)],
+    ),
+    "SupportBox": (
+        lambda: SupportBox((0.0,), (1.0,), (True,), (False,)),
+        [
+            SupportBox((0.5,), (1.0,), (True,), (False,)),
+            SupportBox((0.0,), (2.0,), (True,), (False,)),
+            SupportBox((0.0,), (1.0,), (False,), (False,)),
+            SupportBox((0.0,), (1.0,), (True,), (True,)),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
+def test_value_classes_compare_and_hash_by_their_fields(name):
+    make, others = VALUE_CLASSES[name]
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert len(others) == len(a.__slots__)
+    assert all(a != other for other in others)
+    # another type with the same field values is not equal
+    assert a != tuple(getattr(a, field) for field in a.__slots__)
