@@ -1,94 +1,2 @@
 """Connector-space combination calculus, anchored partitions of unity, and
 pointwise-limit verification on desk-scale model spaces."""
-
-from .connectors import (
-    ConnectorSpace,
-    Contraction,
-    WeightError,
-    affine_line,
-    affine_space,
-    contract_eval,
-    convex_combination,
-    lambda_sum,
-    make_contraction,
-    straight_line_contraction,
-    warped_line,
-)
-from .gallery import (
-    CollapsingBump,
-    FinSeq,
-    GalleryError,
-    SequentialPoint,
-    TaggedReal,
-    TwoCellInstance,
-    ambiguity_gap,
-    as_float,
-    as_tagged,
-    collapsing_instance,
-    cosine_bump,
-    dirichlet_tower,
-    dirichlet_value,
-    example1_eval,
-    example1_function,
-    example2_eval,
-    example2_function,
-    half_line_instance,
-    in_core,
-    nested_indicator,
-    rational_enumeration,
-    rational_prefix,
-    same_real,
-    sequential_convergence_probe,
-    slice_modulus,
-    spike_width,
-    truncation_index,
-)
-from .harness import (
-    ConfigError,
-    REGISTRY,
-    Scenario,
-    ScenarioReport,
-    load_scenario_file,
-    render_csv,
-    render_json,
-    report_data,
-    run_scenario,
-    suite_data,
-)
-from .operators import (
-    AmbiguousCell,
-    BaireTower,
-    DiscretenessError,
-    GlueBump,
-    PartitionViolationError,
-    SectionedFunction,
-    TailReport,
-    ambiguous_limit,
-    ambiguous_target,
-    anchored_cells,
-    contractible_glue,
-    lambda_blend,
-    piecewise_anchor,
-    tail_check,
-    tower_tail,
-)
-from .partitions import (
-    AnchoredScheme,
-    AnchoringError,
-    BumpFamily,
-    CoverCellPartition,
-    CoverError,
-    DenseSet,
-    DenseSetError,
-    FamilyError,
-    SupportBox,
-    disjointify,
-    dyadic_dense,
-    grid_scheme,
-    pointwise_finiteness,
-    sorgenfrey_scheme,
-    verify_anchoring,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.1.0"

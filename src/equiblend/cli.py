@@ -36,7 +36,10 @@ def _parse_schedule(text: str) -> list:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -48,8 +51,6 @@ def _cmd_run(args) -> int:
         overrides["eps"] = args.eps
     if args.schedule is not None:
         overrides["schedule"] = _parse_schedule(args.schedule)
-    if args.seed is not None:
-        overrides["rng_seed"] = args.seed
     if overrides:
         # re-parse so overrides pass the same checks as scenario files
         scenario = Scenario.from_dict({**scenario.echo(), **overrides})
@@ -102,7 +103,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", help="write the report here instead of stdout")
     run_p.add_argument("--eps", type=float, help="override the tail tolerance")
     run_p.add_argument("--schedule", help="override the level schedule, e.g. 1,2,4,8")
-    run_p.add_argument("--seed", type=int, help="override the echoed rng seed")
     run_p.set_defaults(func=_cmd_run)
 
     suite_p = sub.add_parser("suite", help="run every scenario in a directory")

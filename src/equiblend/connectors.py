@@ -64,8 +64,6 @@ class ConnectorSpace:
     point_dim: int
     contains: Callable[[Point], bool]
     connect: Callable[[Point, Point, float], Point]
-    metric: Callable[[Point, Point], float]
-    name: str = ""
 
 
 def _with_endpoint_identities(raw):
@@ -83,7 +81,7 @@ def _with_endpoint_identities(raw):
     return connect
 
 
-def affine_space(lo, hi, dim: int = 1, name: str = "") -> ConnectorSpace:
+def affine_space(lo, hi, dim: int = 1) -> ConnectorSpace:
     """Straight-line connector on a closed box, (1-t)x + t y.
 
     ``lo``/``hi`` are scalars applied to every axis, infinite ones included.
@@ -109,25 +107,19 @@ def affine_space(lo, hi, dim: int = 1, name: str = "") -> ConnectorSpace:
         # numbers, and arrays with their own elementwise arithmetic
         return (1.0 - t) * x + t * y
 
-    return ConnectorSpace(
-        point_dim=dim,
-        contains=contains,
-        connect=_with_endpoint_identities(raw),
-        metric=_norm_metric,
-        name=name or f"affine[{lo},{hi}]^{dim}",
-    )
+    return ConnectorSpace(point_dim=dim, contains=contains, connect=_with_endpoint_identities(raw))
 
 
-def affine_line(dim: int = 1, name: str = "") -> ConnectorSpace:
+def affine_line(dim: int = 1) -> ConnectorSpace:
     """Unbounded straight-line connector (all finite points)."""
-    return affine_space(-math.inf, math.inf, dim, name or f"affine_line^{dim}")
+    return affine_space(-math.inf, math.inf, dim)
 
 
 def _h(u: float) -> float:
     return u * u * u + u
 
 
-def warped_line(name: str = "warped_line") -> ConnectorSpace:
+def warped_line() -> ConnectorSpace:
     """Connector on the real line pulled back through h(u) = u^3 + u.
 
     ``connect(x, y, t) = h^-1((1-t) h(x) + t h(y))``; h is strictly increasing
@@ -154,13 +146,7 @@ def warped_line(name: str = "warped_line") -> ConnectorSpace:
     def raw(x, y, t):
         return h_inv((1.0 - t) * _h(float(x)) + t * _h(float(y)))
 
-    return ConnectorSpace(
-        point_dim=1,
-        contains=contains,
-        connect=_with_endpoint_identities(raw),
-        metric=lambda a, b: abs(float(a) - float(b)),
-        name=name,
-    )
+    return ConnectorSpace(point_dim=1, contains=contains, connect=_with_endpoint_identities(raw))
 
 
 def _numpy_sum(w: tuple) -> float:
@@ -250,10 +236,10 @@ def lambda_sum(space: ConnectorSpace, points: Sequence, weights: Sequence[float]
 class Contraction:
     """A map gamma(z, t) sliding every point to ``star`` as t goes 0 -> 1."""
 
-    __slots__ = ("gamma", "star", "name")
+    __slots__ = ("gamma", "star")
 
-    def __init__(self, gamma: Callable[[Point, float], Point], star: Point, name: str = ""):
-        self.gamma, self.star, self.name = gamma, star, name
+    def __init__(self, gamma: Callable[[Point, float], Point], star: Point):
+        self.gamma, self.star = gamma, star
 
 
 def _with_contraction_identities(raw, star):
@@ -267,20 +253,20 @@ def _with_contraction_identities(raw, star):
     return gamma
 
 
-def make_contraction(raw_gamma, star, name: str = "") -> Contraction:
+def make_contraction(raw_gamma, star) -> Contraction:
     """Wrap a raw gamma so gamma(z,0)=z and gamma(z,1)=star hold exactly."""
     if not callable(raw_gamma):
         raise TypeError("raw_gamma must be callable")
-    return Contraction(gamma=_with_contraction_identities(raw_gamma, star), star=star, name=name)
+    return Contraction(gamma=_with_contraction_identities(raw_gamma, star), star=star)
 
 
-def straight_line_contraction(star=0.0, name: str = "") -> Contraction:
+def straight_line_contraction(star=0.0) -> Contraction:
     """gamma(z, t) = (1-t) z + t star on a euclidean universe."""
 
     def raw(z, t):
         return (1.0 - t) * z + t * star
 
-    return make_contraction(raw, star, name or "straight_line")
+    return make_contraction(raw, star)
 
 
 def contract_eval(c: Contraction, z, t: float) -> Point:

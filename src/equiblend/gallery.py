@@ -144,14 +144,23 @@ def _center_floats(n: int) -> tuple:
 
 
 def _enumeration_index(frac: Fraction) -> int:
-    """1-based position of a reduced fraction in the enumeration.
+    """1-based position of a reduced fraction p/q in the enumeration.
 
-    Entries through the |p|+q = s block number at most s^2, so a prefix of
-    that length is guaranteed to contain the fraction.
+    After 0, block s = 2, 3, ... lists k/(s-k) and -k/(s-k) for each k < s
+    prime to s (gcd(k, s-k) = gcd(k, s)), so it holds 2*phi(s) entries.  A
+    totient sieve below s = |p|+q counts the earlier blocks, so the cost is
+    O(s), and s is at most the index.
     """
-    s = abs(frac.numerator) + frac.denominator
-    prefix = rational_prefix(max(1, s * s))
-    return prefix.index(frac) + 1
+    p = abs(frac.numerator)
+    s = p + frac.denominator
+    if p == 0:
+        return 1
+    phi = list(range(s))
+    for i in range(2, s):
+        if phi[i] == i:  # i is prime
+            phi[i::i] = [v - v // i for v in phi[i::i]]
+    before = sum(phi[2:]) + sum(1 for k in range(1, p) if math.gcd(k, s) == 1)
+    return 2 + 2 * before + (frac < 0)
 
 
 def _finite_indicator(n: int) -> Callable:
@@ -328,19 +337,8 @@ class FinSeq:
         return cls(())
 
     @classmethod
-    def from_pairs(cls, pairs) -> "FinSeq":
-        items = sorted((int(i), float(c)) for i, c in pairs)
-        return cls(tuple((i, c) for i, c in items if c != 0.0))
-
-    @classmethod
     def from_list(cls, values) -> "FinSeq":
         return cls(tuple((i, float(v)) for i, v in enumerate(values, start=1) if float(v) != 0.0))
-
-    def coeff(self, index: int) -> float:
-        for i, c in self.entries:
-            if i == index:
-                return c
-        return 0.0
 
     @property
     def is_zero(self) -> bool:
@@ -417,7 +415,7 @@ def _dist_layer(x: FinSeq, n: int, m: int) -> float:
     return d
 
 
-def ambiguity_gap(x: FinSeq, n: int, max_layers: int = 4096) -> float:
+def ambiguity_gap(x: FinSeq, n: int) -> float:
     """Capped-sup distance to the level-n core's defining layers.
 
     Exactly 0.0 on the core (decided by membership, not arithmetic);
@@ -427,7 +425,7 @@ def ambiguity_gap(x: FinSeq, n: int, max_layers: int = 4096) -> float:
     if in_core(x, n):
         return 0.0
     best = 0.0
-    for m in range(n, n + max_layers):
+    for m in range(n, n + 4096):
         t = min(2.0 ** -m, _dist_layer(x, n, m))
         if t > best:
             best = t
@@ -519,8 +517,10 @@ def example2_eval(x: FinSeq, y, n_terms_cap: int = 64) -> float:
         if y.kind == "irrational":
             return 0.0
         if y.kind == "rational":
-            # the level weight vanishes exactly past the truncation index,
-            # so the single matching center needs no explicit bound
+            # the single matching center's level is at least |p|+q, and level
+            # ramps, once 0, stay 0 as the level grows
+            if level_ramp(x, abs(y.frac.numerator) + y.frac.denominator) == 0.0:
+                return 0.0
             return nested_indicator(_enumeration_index(y.frac))(x)
         # plain tags match centers by value; scan the contributing levels
         n0 = truncation_index(x, cap=n_terms_cap)
@@ -536,20 +536,17 @@ def example2_eval(x: FinSeq, y, n_terms_cap: int = 64) -> float:
     return total
 
 
-def example2_function(n_terms_cap: int = 64) -> SectionedFunction:
-    def f(x, y):
-        return example2_eval(x, y, n_terms_cap)
-
+def example2_function() -> SectionedFunction:
     def regularity(x):
         return dirichlet_tower() if x.is_zero else None
 
-    return SectionedFunction(eval=f, anchor_regularity=regularity)
+    return SectionedFunction(eval=example2_eval, anchor_regularity=regularity)
 
 
-def slice_modulus(y, deltas: Sequence[float], samples: int = 41, n_terms_cap: int = 256) -> tuple:
+def slice_modulus(y, deltas: Sequence[float]) -> tuple:
     """Oscillation of x -> f(x, y) near the zero sequence along the first
     coordinate slice: for each delta, the largest |f(t e1, y) - f(0, y)|
-    over a symmetric t-grid."""
+    over a symmetric grid of 41 values of t."""
     y = as_tagged(y)
     base = example2_eval(FinSeq.zero(), y)
     out = []
@@ -558,15 +555,12 @@ def slice_modulus(y, deltas: Sequence[float], samples: int = 41, n_terms_cap: in
         if not delta > 0:
             raise ValueError("deltas must be positive")
         # numpy.linspace's grid, endpoint exact
-        count = int(samples)
-        step = 2.0 * delta / (count - 1) if count > 1 else 0.0
-        ts = [i * step - delta for i in range(count)]
-        if count > 1:
-            ts[-1] = delta
+        step = 2.0 * delta / 40
+        ts = [i * step - delta for i in range(40)] + [delta]
         worst = 0.0
         for t in ts:
             x = FinSeq.from_list([t])
-            worst = max(worst, abs(example2_eval(x, y, n_terms_cap) - base))
+            worst = max(worst, abs(example2_eval(x, y, 256) - base))
         out.append(worst)
     return tuple(out)
 
@@ -723,14 +717,12 @@ def half_line_instance() -> TwoCellInstance:
         return stage
 
     left = AmbiguousCell(
-        key=("left",),
         phi=left_phi,
         u_region=lambda n: SupportBox.interval(float("-inf"), -0.5 / n, closed_lo=False, closed_hi=False),
         core_region=lambda n: SupportBox.interval(float("-inf"), -1.0 / n, closed_lo=False, closed_hi=True),
         tower=BaireTower(depth=1, limit_eval=lambda y: math.sin(as_float(y)), tower=damped(math.sin)),
     )
     right = AmbiguousCell(
-        key=("right",),
         phi=right_phi,
         u_region=lambda n: SupportBox.interval(-0.25 / n, n + 1.0, closed_lo=False, closed_hi=False),
         core_region=lambda n: SupportBox.interval(0.0, float(n)),

@@ -434,8 +434,8 @@ def load_scenario_file(path) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenario {path} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"scenario {path} is not valid UTF-8 JSON: {exc}") from exc
     return Scenario.from_dict(data)
 
 
@@ -503,7 +503,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     per_probe, targets = OPERATORS[scenario.operator].run(scenario)
     records = []
     for raw, terms, target in zip(scenario.probes_raw, per_probe, targets):
-        passed, gaps, final_gap = tail_check(terms, target, scenario.eps, TAIL_K)
+        passed, gaps, final_gap = tail_check(terms, target, scenario.eps)
         records.append(
             ProbeRecord(
                 x=raw["x"],

@@ -26,6 +26,8 @@ class DiscretenessError(ValueError):
 
 
 TAIL_K = 3
+# the last level at which ambiguous_target looks for a cell core holding x
+TARGET_LEVELS = 4096
 
 
 class BaireTower:
@@ -48,16 +50,16 @@ class BaireTower:
         self.depth, self.limit_eval, self.tower = depth, limit_eval, tower
 
 
-def tail_check(values: Sequence, target, eps: float, k: int = TAIL_K):
-    """Tail criterion: the last k values all sit within eps of the target.
+def tail_check(values: Sequence, target, eps: float):
+    """Tail criterion: the last TAIL_K values all sit within eps of the target.
 
     Returns (passed, gaps, final_gap); eps=0 demands exact agreement.
     """
     values = list(values)
     gaps = tuple(_norm_metric(v, target) for v in values)
-    if len(values) < k:
+    if len(values) < TAIL_K:
         return False, gaps, (gaps[-1] if gaps else float("inf"))
-    passed = all(g <= eps for g in gaps[-k:])
+    passed = all(g <= eps for g in gaps[-TAIL_K:])
     return passed, gaps, gaps[-1]
 
 
@@ -78,13 +80,13 @@ def tower_terms(t: BaireTower, y, schedule: Sequence[int]) -> tuple:
     return terms, t.limit_eval(y)
 
 
-def tower_tail(t: BaireTower, y, schedule: Sequence[int], eps: float, k_tail: int = TAIL_K) -> TailReport:
+def tower_tail(t: BaireTower, y, schedule: Sequence[int], eps: float) -> TailReport:
     """Evaluate a tower's stages at y along the schedule and compare their
     limits against the tower's own limit under the tail criterion."""
     if t.depth < 1:
         raise ValueError("tower_tail needs a tower of depth >= 1")
     terms, target = tower_terms(t, y, schedule)
-    passed, gaps, final_gap = tail_check(terms, target, eps, k_tail)
+    passed, gaps, final_gap = tail_check(terms, target, eps)
     return TailReport(terms=terms, target=target, gaps=gaps, passed=passed, final_gap=final_gap)
 
 
@@ -100,9 +102,6 @@ class SectionedFunction:
     @classmethod
     def from_callable(cls, f) -> "SectionedFunction":
         return cls(eval=f)
-
-    def section(self, x):
-        return lambda y: self.eval(x, y)
 
     def tower_at(self, x) -> BaireTower | None:
         if self.anchor_regularity is None:
@@ -124,7 +123,7 @@ def lambda_blend(f: SectionedFunction, scheme: AnchoredScheme, z_space: Connecto
         live = [(key, w) for key, w in family.weights_at(x) if w > 0.0]
         if not live:
             raise PartitionViolationError(f"no bump is positive at {x!r} (level {n})")
-        return lambda_sum(z_space, [f.eval(anchors[key], y) for key, _ in live], [w for _, w in live])
+        return lambda_sum(z_space, [f.eval(anchors(key), y) for key, _ in live], [w for _, w in live])
 
     return term
 
@@ -186,11 +185,10 @@ class AmbiguousCell:
     cell's ambiguity set.
     """
 
-    __slots__ = ("key", "phi", "u_region", "core_region", "tower")
+    __slots__ = ("phi", "u_region", "core_region", "tower")
 
     def __init__(
         self,
-        key: tuple,
         phi: Callable[[int, object], float],
         u_region: Callable[[int], SupportBox],
         core_region: Callable[[int], SupportBox],
@@ -198,7 +196,7 @@ class AmbiguousCell:
     ):
         if tower.depth != 1:
             raise ValueError("ambiguous cells carry depth-1 towers")
-        self.key, self.phi, self.u_region, self.core_region, self.tower = key, phi, u_region, core_region, tower
+        self.phi, self.u_region, self.core_region, self.tower = phi, u_region, core_region, tower
 
 
 def ambiguous_limit(c: Contraction, cells: Sequence[AmbiguousCell], n: int):
@@ -213,18 +211,19 @@ def ambiguous_limit(c: Contraction, cells: Sequence[AmbiguousCell], n: int):
     return partial(contractible_glue, c, bumps)
 
 
-def ambiguous_target(cells: Sequence[AmbiguousCell], n_cap: int = 4096):
+def ambiguous_target(cells: Sequence[AmbiguousCell]):
     """The pointwise limit: on the cell whose core eventually captures x, the
-    cell tower's limit section; undefined (raises) off every cell.
+    cell tower's limit section; undefined (raises) off every cell core up to
+    level TARGET_LEVELS.
 
     Levels are tried in increasing order, all cells at each: cores of
     different cells are disjoint, so the first capture names the cell."""
 
     def target(x, y):
-        for n in range(1, n_cap + 1):
+        for n in range(1, TARGET_LEVELS + 1):
             for cell in cells:
                 if cell.core_region(n).contains(x):
                     return cell.tower.limit_eval(y)
-        raise PartitionViolationError(f"point {x!r} escapes every cell core up to n_cap={n_cap}")
+        raise PartitionViolationError(f"point {x!r} escapes every cell core up to level {TARGET_LEVELS}")
 
     return target

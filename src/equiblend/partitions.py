@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -68,13 +68,11 @@ class SupportBox:
         return cls((float(lo),), (float(hi),), (bool(closed_lo),), (bool(closed_hi),))
 
     @classmethod
-    def box(cls, los, his, closed_lo=None, closed_hi=None) -> "SupportBox":
-        los = tuple(float(v) for v in los)
-        his = tuple(float(v) for v in his)
-        d = len(los)
-        closed_lo = tuple(True for _ in range(d)) if closed_lo is None else tuple(bool(v) for v in closed_lo)
-        closed_hi = tuple(True for _ in range(d)) if closed_hi is None else tuple(bool(v) for v in closed_hi)
-        return cls(los, his, closed_lo, closed_hi)
+    def box(cls, los, his) -> "SupportBox":
+        """The closed box with the given corners."""
+        los = tuple(map(float, los))
+        closed = (True,) * len(los)
+        return cls(los, tuple(map(float, his)), closed, closed)
 
     @property
     def dim(self) -> int:
@@ -93,24 +91,6 @@ class SupportBox:
         for v, lo, hi, clo, chi in zip(coords, self.lo, self.hi, self.closed_lo, self.closed_hi):
             if not ((v > lo or (v == lo and clo)) and (v < hi or (v == hi and chi))):
                 return False
-        return True
-
-    def meets(self, other: "SupportBox") -> bool:
-        """Whether the two boxes share a point (open/closed flags honored)."""
-        if self.dim != other.dim:
-            return False
-        for i in range(self.dim):
-            a_lo, a_hi, a_clo, a_chi = self.lo[i], self.hi[i], self.closed_lo[i], self.closed_hi[i]
-            b_lo, b_hi, b_clo, b_chi = other.lo[i], other.hi[i], other.closed_lo[i], other.closed_hi[i]
-            lo = max(a_lo, b_lo)
-            hi = min(a_hi, b_hi)
-            if lo > hi:
-                return False
-            if lo == hi:
-                lo_ok = (lo > a_lo or a_clo) and (lo > b_lo or b_clo)
-                hi_ok = (hi < a_hi or a_chi) and (hi < b_hi or b_chi)
-                if not (lo_ok and hi_ok):
-                    return False
         return True
 
 
@@ -213,9 +193,9 @@ class DenseSet:
     pick: Callable[[SupportBox], object]
 
 
-def _coarsest_dyadic_in(lo: float, hi: float, closed_lo: bool, closed_hi: bool, max_level: int = 60) -> float:
+def _coarsest_dyadic_in(lo: float, hi: float, closed_lo: bool, closed_hi: bool) -> float:
     q = 1.0
-    for _ in range(max_level + 1):
+    for _ in range(61):
         p = math.ceil(lo * q)
         v = p / q
         if v < lo or (v == lo and not closed_lo):
@@ -224,7 +204,7 @@ def _coarsest_dyadic_in(lo: float, hi: float, closed_lo: bool, closed_hi: bool, 
         if v < hi or (v == hi and closed_hi):
             return v
         q *= 2.0
-    raise DenseSetError(f"no dyadic point found in [{lo}, {hi}] within {max_level} refinement levels")
+    raise DenseSetError(f"no dyadic point found in [{lo}, {hi}] within 60 refinement levels")
 
 
 def dyadic_dense() -> DenseSet:
@@ -266,39 +246,10 @@ class AnchoredScheme:
         return self.level(n)[0]
 
     def anchor(self, n: int, key):
-        anchors = self.level(n)[1]
-        return anchors[_as_key(key)]
-
-    def anchor_map(self, n: int) -> Mapping:
-        return dict(self.level(n)[1])
+        return self.level(n)[1](_as_key(key))
 
     def describe(self) -> dict:
         return dict(self._describe)
-
-
-class _LazyAnchors(Mapping):
-    """A level's anchors, each picked from the dense set on first access and
-    kept.  Iteration, length and membership are the key view's."""
-
-    def __init__(self, keys: _KeyView, pick):
-        self._keys = keys
-        self._pick = pick  # key -> anchor
-        self._picked: dict = {}
-
-    def __getitem__(self, key):
-        try:
-            return self._picked[key]
-        except KeyError:
-            if key not in self._keys:
-                raise
-        anchor = self._picked[key] = self._pick(key)
-        return anchor
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
 
 
 def _near(origin: float, n: int, below: int, above: int, v: float, axis: range) -> range:
@@ -313,16 +264,25 @@ def _near(origin: float, n: int, below: int, above: int, v: float, axis: range) 
 
 def _anchored_level(axes: tuple, interval, near, bump, anchor_region, dense: DenseSet):
     """One scheme level: the bump family over the keys of the product of the
-    integer ranges ``axes``, and its anchors; nothing is built per key.
+    integer ranges ``axes``, and its anchors, a function of the key; nothing
+    is built per key.
 
     ``bump(key, x)`` need only be right on ``support_of(key)``: the family
     never calls it elsewhere.  Each key's anchor is the dense set's pick
-    inside ``anchor_region(key)``, made on first use.  Both schemes memoise
-    ``interval``, so a level builds each axis index's interval once.
+    inside ``anchor_region(key)``, made on first use and kept; a key outside
+    the level raises ``KeyError``.  Both schemes memoise ``interval``, so a
+    level builds each axis index's interval once.
     """
     keys = _KeyView(axes)
     family = BumpFamily(index_keys=keys, bump=bump, interval=interval, near=near)
-    return family, _LazyAnchors(keys, lambda key: dense.pick(anchor_region(key)))
+
+    @cache
+    def anchor(key):
+        if key not in keys:
+            raise KeyError(key)
+        return dense.pick(anchor_region(key))
+
+    return family, anchor
 
 
 def _check_resolution(n_max, lo: float, hi: float) -> None:
@@ -474,9 +434,6 @@ class CoverCellPartition:
         if not hits:
             raise CoverError(f"point {x!r} lies in no cell")
         raise CoverError(f"point {x!r} lies in {len(hits)} cells: {hits!r}")
-
-    def keys(self) -> tuple:
-        return tuple(key for key, _ in self.cells)
 
 
 def disjointify(cover: Sequence, first_of=None) -> CoverCellPartition:

@@ -1,0 +1,9 @@
+"""Test-session set-up: the CLI subprocesses that tests start import the
+package from this checkout's ``src/``, as the tests themselves do through
+the ``pythonpath`` setting in ``pyproject.toml``."""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from equiblend.gallery import (
+    _enumeration_index,
     CollapsingBump,
     FinSeq,
     GalleryError,
@@ -40,6 +42,7 @@ from equiblend.gallery import (
     truncation_index,
 )
 from equiblend.operators import tower_tail
+from equiblend.partitions import SupportBox
 
 
 # -------------------------------------------------------------- tagged reals
@@ -113,6 +116,19 @@ def test_enumeration_accessor_tags_each_entry():
     assert fifth.frac == Fraction(-1, 2) and fifth.value == -0.5
     with pytest.raises(ValueError):
         rational_enumeration(0)
+
+
+def test_enumeration_index_counts_the_blocks():
+    # against the position in a prefix that holds every block up to |p|+q
+    # = 60, and, in the spike regime, the level weight at that position
+    position = {frac: i for i, frac in enumerate(rational_prefix(60 * 60), start=1)}
+    spiky = [FinSeq.from_list([v]) for v in (0.5, -0.7, 0.02, 1e-3)]
+    for s in range(1, 61):
+        for frac in {Fraction(sign * p, s - p) for p in range(s) if math.gcd(p, s) == 1 for sign in (1, -1)}:
+            assert _enumeration_index(frac) == position[frac], frac
+            if s <= 30:
+                y = TaggedReal.rational(frac.numerator, frac.denominator)
+                assert all(example2_eval(x, y) == nested_indicator(position[frac])(x) for x in spiky), frac
 
 
 # ------------------------------------------------------------ dirichlet tower
@@ -233,10 +249,10 @@ def test_collapsing_bump_validates_clauses():
 
 def test_finseq_construction_and_stats():
     x = FinSeq.from_list([0.5, 0.0, -0.25])
-    assert x.coeff(1) == 0.5
-    assert x.coeff(2) == 0.0
-    assert x.coeff(3) == -0.25
-    assert x.coeff(99) == 0.0
+    assert coeff(x, 1) == 0.5
+    assert coeff(x, 2) == 0.0
+    assert coeff(x, 3) == -0.25
+    assert coeff(x, 99) == 0.0
     assert x.top_index == 3
     assert x.sup_abs == 0.5
     assert FinSeq.zero().is_zero
@@ -249,11 +265,16 @@ def test_finseq_construction_and_stats():
         FinSeq(entries=((1, 0.0),))
 
 
+def coeff(x: FinSeq, index: int) -> float:
+    """The sequence's index-th coefficient, 0.0 off its support."""
+    return dict(x.entries).get(index, 0.0)
+
+
 def sup_distance(a: FinSeq, b: FinSeq) -> float:
     """The sup metric on finitely-supported sequences: the reference the
     gap's Lipschitz bound is checked against."""
     indices = {i for i, _ in a.entries} | {i for i, _ in b.entries}
-    return max((abs(a.coeff(i) - b.coeff(i)) for i in indices), default=0.0)
+    return max((abs(coeff(a, i) - coeff(b, i)) for i in indices), default=0.0)
 
 
 def test_sup_distance_cases():
@@ -318,7 +339,7 @@ def test_shell_memberships():
 
 def test_low_shells_ignore_late_coefficients():
     # only the first n slots constrain the level-n shell
-    x = FinSeq.from_pairs([(3, 5.0)])
+    x = FinSeq(entries=((3, 5.0),))
     assert in_open_ball(x, 1) and in_open_ball(x, 2)
     assert not in_open_ball(x, 3)
     assert truncation_index(x) == 3
@@ -561,6 +582,29 @@ def test_origin_section_oscillates_on_fine_intervals():
 # ----------------------------------------------------------- two-cell gallery
 
 
+def meets(a: SupportBox, b: SupportBox) -> bool:
+    """Whether the two boxes share a point, open and closed faces honored:
+    the reference the cells' regions are checked against."""
+    if a.dim != b.dim:
+        return False
+    for a_lo, a_hi, a_clo, a_chi, b_lo, b_hi, b_clo, b_chi in zip(a.lo, a.hi, a.closed_lo, a.closed_hi, b.lo, b.hi, b.closed_lo, b.closed_hi):
+        lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
+        if lo > hi:
+            return False
+        if lo == hi and not ((lo > a_lo or a_clo) and (lo > b_lo or b_clo) and (hi < a_hi or a_chi) and (hi < b_hi or b_chi)):
+            return False
+    return True
+
+
+def test_meets_respects_open_faces():
+    a = SupportBox.interval(0.0, 1.0, closed_hi=False)
+    b = SupportBox.interval(1.0, 2.0)
+    # [0,1) and [1,2] share only the point 1, which a excludes
+    assert not meets(a, b)
+    c = SupportBox.interval(0.5, 1.5)
+    assert meets(a, c)
+
+
 def test_half_line_phi_plateaus():
     inst = half_line_instance()
     left, right = inst.cells
@@ -577,9 +621,9 @@ def test_half_line_regions_disjoint_per_level():
     for n in (1, 2, 4, 8, 16):
         lr = left.u_region(n)
         rr = right.u_region(n)
-        assert not lr.meets(rr)
-        assert left.core_region(n).meets(lr)
-        assert right.core_region(n).meets(rr)
+        assert not meets(lr, rr)
+        assert meets(left.core_region(n), lr)
+        assert meets(right.core_region(n), rr)
 
 
 def test_half_line_stage_values_damp_toward_limits():

@@ -5,10 +5,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
-import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -600,6 +600,61 @@ def test_cli_malformed_scenario_is_one_config_error_line(tmp_path, name):
     assert "Traceback" not in out.stderr
 
 
+def _scenario_in_suite(tmp_path, data: bytes):
+    """One scenario file, alone in its directory: (the file, the directory)."""
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    path = suite / "scenario.json"
+    path.write_bytes(data)
+    return path, suite
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_cli_non_utf8_scenario_is_one_config_error_line(tmp_path, command):
+    latin1 = json.dumps(_minimal_dict(name="caf\u00e9"), ensure_ascii=False).encode("latin-1")
+    path, suite = _scenario_in_suite(tmp_path, latin1)
+    out = _cli(command, str(path if command == "run" else suite))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("config error:")
+    assert len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_cli_unwritable_out_is_one_config_error_line(tmp_path, command):
+    path, suite = _scenario_in_suite(tmp_path, json.dumps(_minimal_dict()).encode())
+    out = _cli(command, str(path if command == "run" else suite), "--out", str(tmp_path / "missing" / "report.json"))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("config error: cannot write")
+    assert len(out.stderr.splitlines()) == 1
+
+
+def test_readme_names_every_flag_of_run_and_suite():
+    readme = (SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags = set()
+    for command in ("run", "suite"):
+        out = _cli(command, "--help")
+        assert out.returncode == 0, out.stderr
+        flags |= set(re.findall(r"--[a-z][a-z-]*", out.stdout)) - {"--help"}
+    assert flags == set(re.findall(r"--[a-z][a-z-]*", section))
+
+
+def test_cli_example2_at_a_large_rational_y(tmp_path):
+    # y = 10000 is enumerated past level 10000, where every anchor near x
+    # = 0.5 has a zero level weight, so no enumeration prefix is listed
+    data = _minimal_dict(
+        function="example2",
+        scheme={"kind": "grid", "dim": 1, "lo": -1.0, "hi": 1.0},
+        probes=[{"x": 0.5, "y": {"rational": [10000, 1]}}],
+        schedule=[1, 2, 4, 8, 16, 32, 64, 128, 256],
+    )
+    path, _ = _scenario_in_suite(tmp_path, json.dumps(data).encode())
+    out = _cli("run", str(path))
+    assert out.returncode == 0, out.stderr
+    record = json.loads(out.stdout)["records"][0]
+    assert record["passed"] and record["target"] == 0.0 and record["terms"][-1] == 0.0
+
+
 def test_the_finest_level_is_bounded_by_the_float_resolution_of_the_box():
     # math.ulp(1.0) is 2**-52: on [-1, 1] a mesh wider than that parses and
     # runs, and a mesh no wider is a configuration error
@@ -624,9 +679,23 @@ def _names_read(tree: ast.AST) -> set:
     }
 
 
+def _class_members(node: ast.ClassDef) -> set:
+    """A class's methods and properties, its ``__slots__`` entries and its
+    dataclass fields."""
+    names = set()
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef):
+            names.add(item.name)
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            names.add(item.target.id)
+        elif isinstance(item, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+            names |= {c.value for c in ast.walk(item.value) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return names
+
+
 def _names_defined(tree: ast.Module) -> set:
     """The functions, classes and assigned names at a module's top level,
-    dunders aside."""
+    and the members of its classes, dunders aside."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -634,12 +703,14 @@ def _names_defined(tree: ast.Module) -> set:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+        if isinstance(node, ast.ClassDef):
+            names |= _class_members(node)
     return {name for name in names if not name.startswith("__")}
 
 
 def test_every_export_is_reached_by_the_package_or_an_acceptance_criterion():
-    # every module-level name of src/, exported or not: one that only its own
-    # unit tests reach is dead code
+    # every module-level name and class member of src/: one that only its
+    # own unit tests reach is dead code
     root = SCENARIO_DIR.parent
     acceptance = ast.parse((root / "tests" / "test_acceptance.py").read_text())
     used = _names_read(acceptance) | {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -647,10 +718,7 @@ def test_every_export_is_reached_by_the_package_or_an_acceptance_criterion():
     for path in (root / "src" / "equiblend").glob("*.py"):
         tree = ast.parse(path.read_text())
         defined |= _names_defined(tree)
-        if path.name != "__init__.py":
-            used |= _names_read(tree)
-    exports = {name for name in equiblend.__all__ if not inspect.ismodule(getattr(equiblend, name))}
-    assert exports <= defined
+        used |= _names_read(tree)
     assert sorted(defined - used) == []
 
 

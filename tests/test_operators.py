@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from equiblend import operators
 from equiblend.connectors import affine_line, affine_space, straight_line_contraction
 from equiblend.gallery import dirichlet_tower, half_line_instance, TaggedReal
 from equiblend.operators import (
+    TARGET_LEVELS,
     AmbiguousCell,
     BaireTower,
     DiscretenessError,
@@ -40,13 +42,14 @@ def test_tower_depth_validation():
 
 
 def test_tail_check_windows():
-    passed, gaps, final = tail_check((0.0, 0.0, 1.0, 1.0, 1.0), 1.0, eps=0.0, k=3)
+    # the last TAIL_K = 3 values decide
+    passed, gaps, final = tail_check((0.0, 0.0, 1.0, 1.0, 1.0), 1.0, eps=0.0)
     assert passed
     assert final == 0.0
     assert gaps[-3:] == (0.0, 0.0, 0.0)
-    short, _, _ = tail_check((1.0,), 1.0, eps=1.0, k=3)
+    short, _, _ = tail_check((1.0,), 1.0, eps=1.0)
     assert not short
-    drift, _, _ = tail_check((0.0, 1.0, 0.9), 1.0, eps=1e-3, k=3)
+    drift, _, _ = tail_check((0.0, 1.0, 0.9), 1.0, eps=1e-3)
     assert not drift
 
 
@@ -84,8 +87,6 @@ def test_tower_tail_on_tag_indicator_tower():
 def test_sectioned_function_from_callable():
     f = SectionedFunction.from_callable(lambda x, y: float(x) + float(y))
     assert f.eval(1.0, 2.0) == 3.0
-    sec = f.section(1.5)
-    assert sec(0.25) == 1.75
     assert f.tower_at(1.0) is None
 
 
@@ -227,10 +228,11 @@ def test_two_cell_target_selects_cell_limits():
 
 def test_ambiguous_target_cap_violation():
     inst = half_line_instance()
-    capped = ambiguous_target(inst.cells, n_cap=2)
-    # x = -0.1 needs core level n >= 10, beyond the cap
+    target = ambiguous_target(inst.cells)
+    assert target(-1.0 / TARGET_LEVELS, 0.0) == 0.0  # sin(0) on the left cell
+    # x = -1e-4 needs core level n >= 10000, beyond the last level searched
     with pytest.raises(PartitionViolationError):
-        capped(-0.1, 0.0)
+        target(-1e-4, 0.0)
 
 
 def _cells_outer_target(cells, n_cap, x, y):
@@ -241,10 +243,11 @@ def _cells_outer_target(cells, n_cap, x, y):
     return None
 
 
-def test_ambiguous_target_levels_outer_matches_cells_outer():
+def test_ambiguous_target_levels_outer_matches_cells_outer(monkeypatch):
     cells = half_line_instance().cells
     n_cap = 64
-    target = ambiguous_target(cells, n_cap=n_cap)
+    monkeypatch.setattr(operators, "TARGET_LEVELS", n_cap)
+    target = ambiguous_target(cells)
     edges = [v for n in (1, 2, 3, 7, 64) for v in (np.nextafter(-1.0 / n, -1.0), -1.0 / n, np.nextafter(-1.0 / n, 1.0))]
     xs = [*np.linspace(-3.0, 8.0, 221).tolist(), *edges, -0.0, 0.0, np.nextafter(0.0, -1.0), 5e-324, 8.0, 64.0, 64.5]
     for x in xs:
@@ -265,7 +268,6 @@ def test_ambiguous_limit_rejects_region_overlap():
     )
     box = SupportBox.interval(-1.0, 1.0)
     cell = AmbiguousCell(
-        key=(1,),
         phi=lambda n, x: 1.0,
         u_region=lambda n: box,
         core_region=lambda n: box,

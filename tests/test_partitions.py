@@ -49,22 +49,14 @@ def test_interval_edge_membership():
 
 
 def test_box_membership_dim2():
-    b = SupportBox.box([0.0, 0.0], [1.0, 2.0], closed_hi=[False, True])
+    b = SupportBox((0.0, 0.0), (1.0, 2.0), (True, True), (False, True))
+    assert SupportBox.box([0.0, 0.0], [1.0, 2.0]) == SupportBox((0.0, 0.0), (1.0, 2.0), (True, True), (True, True))
     assert b.dim == 2
     assert b.contains([0.5, 2.0])
     assert not b.contains([1.0, 1.0])
     assert not b.contains([0.5, 2.5])
     assert not b.contains([np.nan, 1.0])
     assert not b.contains([0.5, np.nan])
-
-
-def test_meets_respects_open_faces():
-    a = SupportBox.interval(0.0, 1.0, closed_hi=False)
-    b = SupportBox.interval(1.0, 2.0)
-    # [0,1) and [1,2] share only the point 1, which a excludes
-    assert not a.meets(b)
-    c = SupportBox.interval(0.5, 1.5)
-    assert a.meets(c)
 
 
 # ---------------------------------------------------------------- dense sets
@@ -177,13 +169,13 @@ def test_grid_anchor_hits_dyadic_nodes():
     # power-of-two meshes put every node in the dense set, so the pick is the
     # node itself
     for n in (1, 2, 4, 8):
-        for key, anchor in scheme.anchor_map(n).items():
+        for key in scheme.family(n).index_keys:
             node = -1.0 + key[0] / n
-            assert anchor == node
+            assert scheme.anchor(n, key) == node
     # a non-dyadic mesh still anchors within half a cell
-    for key, anchor in scheme.anchor_map(3).items():
+    for key in scheme.family(3).index_keys:
         node = -1.0 + key[0] / 3
-        assert abs(anchor - node) <= 0.5 / 3 + 1e-15
+        assert abs(scheme.anchor(3, key) - node) <= 0.5 / 3 + 1e-15
 
 
 def test_grid_rejects_fractional_side():
@@ -221,7 +213,8 @@ def test_sorgenfrey_anchor_sits_ahead_of_its_tile():
     scheme = sorgenfrey_scheme(n_max=8)
     for n in (1, 2, 4, 8):
         fam = scheme.family(n)
-        for (i,), anchor in scheme.anchor_map(n).items():
+        for (i,) in fam.index_keys:
+            anchor = scheme.anchor(n, (i,))
             # the pick window [i/n, (i+1)/n) starts at a dyadic point, so the
             # anchor is the tile's excluded right endpoint, exactly
             assert anchor == i / n
@@ -290,7 +283,7 @@ def test_candidate_lookup_matches_the_full_scan():
         fam = scheme.family(n)
         cells = anchored_cells(scheme, n)
         chain = disjointify([(k, fam.support_of(k).contains) for k in fam.index_keys])
-        assert cells.keys() == chain.keys()
+        assert [key for key, _ in cells.cells] == [key for key, _ in chain.cells]
         for x in points:
             assert fam.active_keys(x) == [k for k in fam.index_keys if fam.support_of(k).contains(x)]
             if len(fam.index_keys) > 500:
@@ -323,7 +316,7 @@ def test_a_blend_term_is_the_convex_combination_of_its_live_anchor_sections():
                 with pytest.raises(PartitionViolationError):
                     term(x, y)
                 continue
-            expected = convex_combination(z_space, [f.eval(anchors[k], y) for k, _ in live], [w for _, w in live])
+            expected = convex_combination(z_space, [f.eval(anchors(k), y) for k, _ in live], [w for _, w in live])
             assert np.float64(term(x, y)).tobytes() == np.float64(expected).tobytes(), (n, x)
 
 
@@ -463,18 +456,18 @@ def test_lazy_anchors_equal_the_eager_picks(monkeypatch):
             region = SupportBox.box([max(c - 0.5 / n, -1.0) for c in node], [min(c + 0.5 / n, 1.0) for c in node])
             eager[key] = dense.pick(region)
         picked = len(picks)
-        lazy = scheme.anchor_map(n)
+        lazy = {key: scheme.anchor(n, key) for key in scheme.family(n).index_keys}
         assert len(picks) - picked == len(eager)
         assert list(lazy) == list(eager)
         assert all(np.asarray(lazy[k]).tobytes() == np.asarray(eager[k]).tobytes() for k in eager)
-        assert scheme.anchor_map(n) == lazy  # picked once, then kept
+        assert {key: scheme.anchor(n, key) for key in lazy} == lazy  # picked once, then kept
         assert len(picks) - picked == len(eager)
         for foreign in ((2 * n + 1,) * dim, (-1,) * dim, (0,) * (dim + 1)):
             with pytest.raises(KeyError):
                 scheme.anchor(n, foreign)
     scheme = sorgenfrey_scheme(n_max=8)
     for n in (3, 8):
-        anchors = scheme.anchor_map(n)
+        anchors = {key: scheme.anchor(n, key) for key in scheme.family(n).index_keys}
         assert anchors == {key: dense.pick(SupportBox.interval(key[0] / n, (key[0] + 1) / n, closed_hi=False)) for key in scheme.family(n).index_keys}
         with pytest.raises(KeyError):
             scheme.anchor(n, (n + 2,))
@@ -502,7 +495,7 @@ def test_disjointify_assigns_first_containing_cell():
     part = disjointify(cells)
     assert part.cell_of(0.5) == (1,)
     assert part.cell_of(0.7) == (2,)
-    assert part.keys() == ((1,), (2,))
+    assert [key for key, _ in part.cells] == [(1,), (2,)]
     with pytest.raises(CoverError):
         part.cell_of(1.5)
 
