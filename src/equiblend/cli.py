@@ -53,7 +53,7 @@ def _cmd_run(args) -> int:
         overrides["schedule"] = _parse_schedule(args.schedule)
     if overrides:
         # re-parse so overrides pass the same checks as scenario files
-        scenario = Scenario.from_dict({**scenario.echo(), **overrides})
+        scenario = Scenario.from_dict({**scenario.config, **overrides})
     report = run_scenario(scenario)
     if args.format == "csv":
         _emit(render_csv([report]), args.out)

@@ -242,31 +242,18 @@ class Contraction:
         self.gamma, self.star = gamma, star
 
 
-def _with_contraction_identities(raw, star):
+def straight_line_contraction(star=0.0) -> Contraction:
+    """gamma(z, t) = (1-t) z + t star on a euclidean universe, with
+    gamma(z, 0) = z and gamma(z, 1) = star exactly."""
+
     def gamma(z, t):
         if t == 0.0:
             return z
         if t == 1.0:
             return star
-        return raw(z, t)
-
-    return gamma
-
-
-def make_contraction(raw_gamma, star) -> Contraction:
-    """Wrap a raw gamma so gamma(z,0)=z and gamma(z,1)=star hold exactly."""
-    if not callable(raw_gamma):
-        raise TypeError("raw_gamma must be callable")
-    return Contraction(gamma=_with_contraction_identities(raw_gamma, star), star=star)
-
-
-def straight_line_contraction(star=0.0) -> Contraction:
-    """gamma(z, t) = (1-t) z + t star on a euclidean universe."""
-
-    def raw(z, t):
         return (1.0 - t) * z + t * star
 
-    return make_contraction(raw, star)
+    return Contraction(gamma=gamma, star=star)
 
 
 def contract_eval(c: Contraction, z, t: float) -> Point:

@@ -36,7 +36,6 @@ from .operators import (
     TAIL_K,
     PartitionViolationError,
     SectionedFunction,
-    anchored_cells,
     lambda_blend,
     piecewise_anchor,
     tail_check,
@@ -52,8 +51,9 @@ class ConfigError(ValueError):
 SCENARIO_KEYS = ("name", "x_space", "z_space", "function", "scheme", "operator", "probes", "schedule", "eps", "rng_seed")
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 DEFAULT_EPS = 1e-3
-# the largest fan row and tower_tail level: stage n of the fan's towers
-# enumerates n rationals
+# the largest fan row, tower_tail level and reduced |p| + q of a rational y:
+# stage n of the fan's towers enumerates n rationals, and example2 counts a
+# rational's enumeration index in O(|p| + q)
 MAX_STAGE = 2**20
 
 
@@ -199,7 +199,9 @@ def _parse_y(spec) -> TaggedReal:
                 f"rational y spec needs [p, q] integers, got {pq!r}",
             )
             _require(pq[1] != 0, "rational y spec needs a nonzero denominator")
-            return _build("rational y spec", TaggedReal.rational, pq[0], pq[1])
+            y = _build("rational y spec", TaggedReal.rational, pq[0], pq[1])
+            _require(abs(y.frac.numerator) + y.frac.denominator <= MAX_STAGE, f"rational y spec {pq!r}: the reduced |p| + q exceeds {MAX_STAGE}")
+            return y
         if "irrational" in spec:
             return TaggedReal.irrational(_as_number(spec["irrational"], "irrational y spec needs a number"))
     raise ConfigError(f"bad y spec {spec!r}: expected a number, {{'rational': [p, q]}} or {{'irrational': v}}")
@@ -285,50 +287,18 @@ def _default_x_space(scheme_cfg: dict, fn_kind: str) -> dict:
 
 
 class Scenario:
-    __slots__ = (
-        "name", "fn_name", "operator", "x_cfg", "z_cfg", "scheme_cfg", "probes",
-        "probes_raw", "schedule", "eps", "rng_seed", "function", "scheme", "z_space",
-    )
+    """A parsed scenario: ``config`` is the scenario with its defaults filled
+    in, which the report echoes; beside it sit the parsed probes and the
+    function, scheme and z-space built from it."""
 
-    def __init__(
-        self,
-        name: str,
-        fn_name: str,
-        operator: str,
-        x_cfg: dict,
-        z_cfg: dict,
-        scheme_cfg: dict,
-        probes: tuple,
-        probes_raw: tuple,
-        schedule: tuple,
-        eps: float,
-        rng_seed: int,
-        function,
-        scheme,
-        z_space,
-    ):
-        self.name, self.fn_name, self.operator = name, fn_name, operator
-        self.x_cfg, self.z_cfg, self.scheme_cfg = x_cfg, z_cfg, scheme_cfg
+    __slots__ = ("config", "probes", "function", "scheme", "z_space")
+
+    def __init__(self, config: dict, probes: tuple, function, scheme, z_space):
+        self.config = config  # SCENARIO_KEYS in order
         self.probes = probes  # ((x, y TaggedReal), ...) parsed
-        self.probes_raw = probes_raw
-        self.schedule, self.eps, self.rng_seed = schedule, eps, rng_seed
-        self.function = function  # REGISTRY[fn_name].make()
+        self.function = function  # REGISTRY[config["function"]].make()
         self.scheme = scheme  # AnchoredScheme to max(schedule), or None
         self.z_space = z_space  # ConnectorSpace
-
-    def echo(self) -> dict:
-        return {
-            "name": self.name,
-            "x_space": self.x_cfg,
-            "z_space": self.z_cfg,
-            "function": self.fn_name,
-            "scheme": self.scheme_cfg,
-            "operator": self.operator,
-            "probes": list(self.probes_raw),
-            "schedule": list(self.schedule),
-            "eps": self.eps,
-            "rng_seed": self.rng_seed,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -352,7 +322,7 @@ class Scenario:
             isinstance(schedule_raw, (list, tuple)) and schedule_raw and all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in schedule_raw),
             f"schedule must be a nonempty list of positive integers, got {schedule_raw!r}",
         )
-        schedule = tuple(int(n) for n in schedule_raw)
+        schedule = [int(n) for n in schedule_raw]
         _require(all(a < b for a, b in zip(schedule, schedule[1:])), "schedule must be strictly increasing")
         _require(len(schedule) >= TAIL_K, f"schedule needs at least {TAIL_K} levels for the tail criterion, got {len(schedule)}")
 
@@ -410,22 +380,19 @@ class Scenario:
                     target(x, y)
                 except PartitionViolationError as exc:
                     raise ConfigError(f"probe {index}: {exc}") from exc
-        return cls(
-            name=name,
-            fn_name=fn_name,
-            operator=operator,
-            x_cfg=x_cfg,
-            z_cfg=z_cfg,
-            scheme_cfg=scheme_cfg,
-            probes=tuple(parsed),
-            probes_raw=tuple(probes_raw),
-            schedule=schedule,
-            eps=eps,
-            rng_seed=int(rng_seed),
-            function=function,
-            scheme=scheme,
-            z_space=z_space,
-        )
+        config = {
+            "name": name,
+            "x_space": x_cfg,
+            "z_space": z_cfg,
+            "function": fn_name,
+            "scheme": scheme_cfg,
+            "operator": operator,
+            "probes": list(probes_raw),
+            "schedule": schedule,
+            "eps": eps,
+            "rng_seed": rng_seed,
+        }
+        return cls(config, tuple(parsed), function, scheme, z_space)
 
 
 def load_scenario_file(path) -> Scenario:
@@ -436,6 +403,8 @@ def load_scenario_file(path) -> Scenario:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"scenario {path} is not valid UTF-8 JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"scenario {path} nests too deeply to parse") from None
     return Scenario.from_dict(data)
 
 
@@ -462,7 +431,7 @@ def _run_levels(scenario: Scenario, term_at, target):
     """Per probe, the level terms term_at(n)(x, y) along the schedule, and
     the probes' targets."""
     per_probe = [[] for _ in scenario.probes]
-    for n in scenario.schedule:
+    for n in scenario.config["schedule"]:
         term = term_at(n)
         for slot, (x, y) in zip(per_probe, scenario.probes):
             slot.append(term(x, y))
@@ -470,7 +439,7 @@ def _run_levels(scenario: Scenario, term_at, target):
 
 
 def _run_towers(scenario: Scenario):
-    pairs = [tower_terms(scenario.function.tower_at(x), y, scenario.schedule) for x, y in scenario.probes]
+    pairs = [tower_terms(scenario.function.tower_at(x), y, scenario.config["schedule"]) for x, y in scenario.probes]
     return [terms for terms, _ in pairs], [target for _, target in pairs]
 
 
@@ -492,7 +461,7 @@ OPERATORS = {
     "piecewise_anchor": OperatorSpec(
         ("pointwise",),
         True,
-        lambda s: _run_levels(s, lambda n: piecewise_anchor(s.function, anchored_cells(s.scheme, n), s.scheme.anchor, n), s.function.eval),
+        lambda s: _run_levels(s, lambda n: piecewise_anchor(s.function, s.scheme, n), s.function.eval),
     ),
     "ambiguous_limit": OperatorSpec(("ambiguous",), False, lambda s: _run_levels(s, s.function.term, s.function.target())),
     "tower_tail": OperatorSpec(("pointwise", "sequential"), False, _run_towers),
@@ -500,10 +469,11 @@ OPERATORS = {
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
-    per_probe, targets = OPERATORS[scenario.operator].run(scenario)
+    config = scenario.config
+    per_probe, targets = OPERATORS[config["operator"]].run(scenario)
     records = []
-    for raw, terms, target in zip(scenario.probes_raw, per_probe, targets):
-        passed, gaps, final_gap = tail_check(terms, target, scenario.eps)
+    for raw, terms, target in zip(config["probes"], per_probe, targets):
+        passed, gaps, final_gap = tail_check(terms, target, config["eps"])
         records.append(
             ProbeRecord(
                 x=raw["x"],
@@ -516,7 +486,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             )
         )
     summary = _summary(len(records), sum(1 for r in records if r.passed))
-    return ScenarioReport(scenario=scenario.echo(), records=tuple(records), summary=summary)
+    return ScenarioReport(scenario=config, records=tuple(records), summary=summary)
 
 
 def _summary(probes: int, passed: int) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .connectors import Contraction, ConnectorSpace, _norm_metric, lambda_sum
-from .partitions import AnchoredScheme, CoverCellPartition, SupportBox, _MapView, disjointify
+from .partitions import AnchoredScheme, SupportBox, disjointify
 
 
 class PartitionViolationError(ValueError):
@@ -128,20 +128,15 @@ def lambda_blend(f: SectionedFunction, scheme: AnchoredScheme, z_space: Connecto
     return term
 
 
-def anchored_cells(scheme: AnchoredScheme, n: int) -> CoverCellPartition:
-    """Disjointified cells of a scheme level's supports, in key order; cell
-    keys are scheme keys, so ``scheme.anchor`` gives the cell anchors."""
-    family = scheme.family(n)
-    return disjointify(_MapView(lambda key: (key, family.support_of(key).contains), family.index_keys), family.active_keys)
-
-
-def piecewise_anchor(f: SectionedFunction, cells: CoverCellPartition, anchor_of_cell, n: int):
-    """Level-n anchor map: at (x, y), take the unique cell holding x and
-    return the anchor's section value f(anchor(cell), y)."""
+def piecewise_anchor(f: SectionedFunction, scheme: AnchoredScheme, n: int):
+    """Level-n anchor map: at (x, y), take the cell of x among the
+    disjointified supports of the level, in key order, and return the
+    anchor's section value f(anchor(cell), y)."""
+    family, anchors = scheme.level(n)
+    cells = disjointify(family.index_keys, family.active_keys)
 
     def term(x, y):
-        key = cells.cell_of(x)
-        return f.eval(anchor_of_cell(n, key), y)
+        return f.eval(anchors(cells.cell_of(x)), y)
 
     return term
 

@@ -122,19 +122,6 @@ class _KeyView(Sequence):
         return isinstance(key, tuple) and len(key) == len(self.axes) and all(type(j) is int and j in axis for j, axis in zip(key, self.axes))
 
 
-class _MapView(Sequence):
-    """``fn`` over a sequence, applied on access."""
-
-    def __init__(self, fn, seq: Sequence):
-        self._fn, self._seq = fn, seq
-
-    def __len__(self) -> int:
-        return len(self._seq)
-
-    def __getitem__(self, index: int):
-        return self._fn(self._seq[index])
-
-
 class BumpFamily:
     """An indexed family of bumps with declared supports: key k's support is
     the box with i-th side ``interval(k[i])``.
@@ -411,49 +398,44 @@ def pointwise_finiteness(families: Sequence[BumpFamily], x) -> int:
 
 
 class CoverCellPartition:
-    """Pairwise-disjoint indexed cells; each covered point lies in exactly one.
+    """The pairwise-disjoint cells of an ordered cover: a point's cell is the
+    first cover set, in key order, that holds it.
 
-    With ``first_of(x)``, which lists in key order the keys of the cover sets
-    holding x, the cell is the first of them, and no cell predicate runs.
+    ``first_of(x)`` lists in key order the keys of the cover sets holding x,
+    or at least the first of them.
     """
 
-    __slots__ = ("cells", "provenance", "first_of")
+    __slots__ = ("keys", "first_of")
+    provenance = "disjointified"
 
-    def __init__(self, cells: Sequence, provenance: str, first_of: Callable[[object], Sequence] | None = None):
-        self.cells = cells  # (key, membership predicate) pairs
-        self.provenance = provenance  # "disjointified"
-        self.first_of = first_of
+    def __init__(self, keys: Sequence, first_of: Callable[[object], Sequence]):
+        self.keys, self.first_of = keys, first_of
+
+    @property
+    def cells(self):
+        """(key, membership predicate) pairs, in key order, made as they are read."""
+        first_of = self.first_of
+        return ((key, lambda x, key=key: key in first_of(x)[:1]) for key in self.keys)
 
     def cell_of(self, x):
-        if self.first_of is not None:
-            hits = self.first_of(x)[:1]
-        else:
-            hits = [key for key, member in self.cells if member(x)]
-        if len(hits) == 1:
-            return hits[0]
+        hits = self.first_of(x)[:1]
         if not hits:
             raise CoverError(f"point {x!r} lies in no cell")
-        raise CoverError(f"point {x!r} lies in {len(hits)} cells: {hits!r}")
+        return hits[0]
 
 
 def disjointify(cover: Sequence, first_of=None) -> CoverCellPartition:
     """First-containing-index refinement of an ordered cover: cell k keeps the
-    points of set k not claimed by any earlier set.  ``first_of(x)``, when
-    given, lists in cover order the keys of the sets holding x, so
-    ``cell_of`` reads the first one instead of running the predicate chain;
-    the cover is then kept as it is, and cell k's predicate, made on access,
-    asks whether k comes first."""
+    points of set k not claimed by any earlier set.  The cover is its keys
+    with ``first_of(x)``, which lists in key order the keys of the sets
+    holding x, or, without ``first_of``, (key, membership predicate) pairs."""
     if not len(cover):
         raise CoverError("cover is empty")
-    if first_of is not None:
-        return CoverCellPartition(_MapView(lambda item: (item[0], lambda x: item[0] in first_of(x)[:1]), cover), "disjointified", first_of)
-    items = [(_as_key(key), member) for key, member in cover]
-    members = tuple(member for _, member in items)
+    if first_of is None:
+        items = [(_as_key(key), member) for key, member in cover]
+        cover = [key for key, _ in items]
 
-    def cell(idx):
-        def cell_member(x):
-            return bool(members[idx](x)) and not any(m(x) for m in members[:idx])
+        def first_of(x):
+            return next(([key] for key, member in items if member(x)), [])
 
-        return cell_member
-
-    return CoverCellPartition(tuple((key, cell(idx)) for idx, (key, _) in enumerate(items)), "disjointified", first_of)
+    return CoverCellPartition(cover, first_of)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from equiblend.connectors import (
-    Contraction,
     WeightError,
     _clean_weights,
     _norm_metric,
@@ -18,7 +17,6 @@ from equiblend.connectors import (
     contract_eval,
     convex_combination,
     lambda_sum,
-    make_contraction,
     straight_line_contraction,
     warped_line,
 )
@@ -221,13 +219,6 @@ def test_contraction_endpoints():
     z = np.array([0.25, 0.5])
     assert contract_eval(c2, z, 0.0) is z
     assert contract_eval(c2, z, 1.0) is star
-
-
-def test_make_contraction_validates_callable():
-    with pytest.raises(TypeError):
-        make_contraction("not callable", 0.0)
-    c = make_contraction(lambda z, t: z * (1.0 - t), 0.0)
-    assert isinstance(c, Contraction)
 
 
 def test_renormalised_weights_match_numpy_bit_for_bit():

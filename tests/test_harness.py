@@ -67,11 +67,16 @@ def test_defaults_fill_in():
             "probes": [{"x": 0.5, "y": 0.0}],
         }
     )
-    assert sc.schedule == DEFAULT_SCHEDULE
-    assert sc.eps == DEFAULT_EPS
-    echo = sc.echo()
-    assert list(echo.keys())[0] == "name"
-    assert echo["schedule"] == list(DEFAULT_SCHEDULE)
+    assert sc.config["schedule"] == list(DEFAULT_SCHEDULE)
+    assert sc.config["eps"] == DEFAULT_EPS
+    assert list(sc.config.keys())[0] == "name"
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda path: path.stem)
+def test_config_reparses_to_itself(path):
+    # run overrides re-parse {**config, **overrides}
+    sc = load_scenario_file(path)
+    assert Scenario.from_dict(sc.config).config == sc.config
 
 
 def test_unknown_keys_rejected():
@@ -117,7 +122,7 @@ def test_ambiguous_operator_rejects_scheme():
         Scenario.from_dict(d)
     del d["scheme"]
     sc = Scenario.from_dict(d)
-    assert sc.fn_name == "half_line_split"
+    assert sc.config["function"] == "half_line_split"
 
 
 # the parse rules the operator table must keep: (operator, function kind, has scheme)
@@ -191,6 +196,13 @@ def test_rational_probe_validation():
         Scenario.from_dict(_minimal_dict(probes=[{"x": 0.5, "y": {"rational": [1, 0]}}]))
     with pytest.raises(ConfigError):
         Scenario.from_dict(_minimal_dict(probes=[{"x": 0.5, "y": {"rational": [0.5, 2]}}]))
+
+
+def test_rational_y_at_the_bound_runs():
+    # reduced, |p| + q is MAX_STAGE; one more is a MALFORMED case
+    y = {"rational": [2 * (MAX_STAGE - 1), 2]}
+    report = report_data(run_scenario(Scenario.from_dict(_minimal_dict(function="product", probes=[{"x": 0.5, "y": y}]))))
+    assert report["summary"]["all_passed"]
 
 
 def test_schedule_must_increase():
@@ -271,7 +283,7 @@ def test_tower_tail_needs_a_regularity_anchor():
 
 def test_tower_tail_levels_are_bounded():
     origin = {**FAN, "probes": [{"x": {"sequential": ["origin"]}, "y": 0.5}]}
-    assert Scenario.from_dict(_minimal_dict(**origin, schedule=[1, 2, MAX_STAGE])).schedule[-1] == MAX_STAGE
+    assert Scenario.from_dict(_minimal_dict(**origin, schedule=[1, 2, MAX_STAGE])).config["schedule"][-1] == MAX_STAGE
     with pytest.raises(ConfigError, match="at most"):
         Scenario.from_dict(_minimal_dict(**origin, schedule=[1, 2, MAX_STAGE + 1]))
 
@@ -570,6 +582,7 @@ MALFORMED = {
     "probe_x_beyond_the_floats": {"probes": [{"x": 10**400, "y": 0.5}]},
     "eps_beyond_the_floats": {"eps": 10**400},
     "rational_y_beyond_the_floats": {"probes": [{"x": 0.25, "y": {"rational": [10**400, 1]}}]},
+    "rational_y_above_the_bound": {"probes": [{"x": 0.25, "y": {"rational": [MAX_STAGE, 1]}}]},
     "grid_level_beyond_the_floats": {"schedule": [1, 2, 10**400]},
     "grid_level_finer_than_the_floats": {"schedule": [1, 2, 10**18]},
     "anchor_sorgenfrey_level_beyond_the_floats": {"operator": "piecewise_anchor", "scheme": {"kind": "sorgenfrey"}, "schedule": [1, 2, 10**400]},
@@ -613,6 +626,15 @@ def _scenario_in_suite(tmp_path, data: bytes):
 def test_cli_non_utf8_scenario_is_one_config_error_line(tmp_path, command):
     latin1 = json.dumps(_minimal_dict(name="caf\u00e9"), ensure_ascii=False).encode("latin-1")
     path, suite = _scenario_in_suite(tmp_path, latin1)
+    out = _cli(command, str(path if command == "run" else suite))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("config error:")
+    assert len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_cli_deeply_nested_scenario_is_one_config_error_line(tmp_path, command):
+    path, suite = _scenario_in_suite(tmp_path, b"[" * 100_000 + b"]" * 100_000)
     out = _cli(command, str(path if command == "run" else suite))
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("config error:")

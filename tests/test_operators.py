@@ -19,7 +19,6 @@ from equiblend.operators import (
     TailReport,
     ambiguous_limit,
     ambiguous_target,
-    anchored_cells,
     contractible_glue,
     lambda_blend,
     piecewise_anchor,
@@ -145,7 +144,7 @@ def test_piecewise_anchor_matches_blend_on_half_open_tiles():
     scheme = sorgenfrey_scheme(n_max=8, domain=(0.0, 1.0))
     z = affine_line(1)
     blend = lambda_blend(f, scheme, z, 8)
-    anchored = piecewise_anchor(f, anchored_cells(scheme, 8), scheme.anchor, 8)
+    anchored = piecewise_anchor(f, scheme, 8)
     rng = np.random.default_rng(13)
     for _ in range(50):
         x = float(rng.uniform(0.0, 1.0))

@@ -12,7 +12,7 @@ import pytest
 
 from equiblend import partitions
 from equiblend.connectors import affine_line, convex_combination
-from equiblend.operators import PartitionViolationError, SectionedFunction, anchored_cells, lambda_blend, piecewise_anchor
+from equiblend.operators import PartitionViolationError, SectionedFunction, lambda_blend, piecewise_anchor
 from equiblend.partitions import (
     AnchoredScheme,
     AnchoringError,
@@ -278,16 +278,16 @@ def _lookup_cases():
 
 def test_candidate_lookup_matches_the_full_scan():
     # the index-arithmetic lookup against every key's support, and the
-    # scheme's cell lookup against the generic disjointified chain
+    # scheme's cell lookup against the disjointified cover of its support predicates
     for scheme, n, points in _lookup_cases():
         fam = scheme.family(n)
-        cells = anchored_cells(scheme, n)
+        cells = disjointify(fam.index_keys, fam.active_keys)
         chain = disjointify([(k, fam.support_of(k).contains) for k in fam.index_keys])
         assert [key for key, _ in cells.cells] == [key for key, _ in chain.cells]
         for x in points:
             assert fam.active_keys(x) == [k for k in fam.index_keys if fam.support_of(k).contains(x)]
             if len(fam.index_keys) > 500:
-                continue  # the chain costs O(#keys) per point
+                continue  # the predicate cover costs O(#keys) per point
             try:
                 expected = chain.cell_of(x)
             except CoverError:
@@ -357,8 +357,7 @@ def test_a_fine_level_and_its_cells_build_nothing_per_key(monkeypatch):
     tracemalloc.start()
     try:
         scheme = grid_scheme(2, box=(-1.0, 1.0), n_max=256)
-        cells = anchored_cells(scheme, 256)
-        value = piecewise_anchor(f, cells, scheme.anchor, 256)((0.3, -0.21), 0.0)
+        value = piecewise_anchor(f, scheme, 256)((0.3, -0.21), 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
