@@ -489,11 +489,10 @@ def truncation_index(x: FinSeq, cap: int = 4096) -> int:
 def example2_term(n: int) -> CollapsingBump:
     """Level-n collapsing bump: level weight, shared width, centered at the
     n-th enumerated rational."""
-    center = rational_prefix(n)[n - 1]
     return CollapsingBump(
         phi=nested_indicator(n),
         psi=spike_width,
-        center=TaggedReal.rational(center.numerator, center.denominator),
+        center=rational_enumeration(n),
         peak_set=lambda x: in_core(x, n),
         active_set=lambda x: in_open_ball(x, n),
         spike_set=lambda x: in_core(x, 1),
@@ -506,9 +505,10 @@ def example2_eval(x: FinSeq, y, n_terms_cap: int = 64) -> float:
     At the zero sequence the value is the rational indicator of y (the sum's
     pointwise limit there).  When the shared width vanishes, every bump is in
     its spike regime and the sum collapses to the level weight at the center
-    matching y, which keeps tiny-amplitude sequences evaluable without
-    touching the truncation index; the cap then only bounds the generic
-    term-by-term path (exceeding it raises rather than truncating silently).
+    matching y; a rational or irrational tag finds that center without the
+    truncation index, so tiny-amplitude sequences stay evaluable.  Otherwise
+    the cap bounds the term-by-term sum (exceeding it raises rather than
+    truncating silently).
     """
     y = as_tagged(y)
     if x.is_zero:
@@ -522,13 +522,6 @@ def example2_eval(x: FinSeq, y, n_terms_cap: int = 64) -> float:
             if level_ramp(x, abs(y.frac.numerator) + y.frac.denominator) == 0.0:
                 return 0.0
             return nested_indicator(_enumeration_index(y.frac))(x)
-        # plain tags match centers by value; scan the contributing levels
-        n0 = truncation_index(x, cap=n_terms_cap)
-        total = 0.0
-        for n, center in enumerate(rational_prefix(max(0, n0 - 1)), start=1):
-            if float(center) == y.value:
-                total += nested_indicator(n)(x)
-        return total
     n0 = truncation_index(x, cap=n_terms_cap)
     total = 0.0
     for n in range(1, n0):

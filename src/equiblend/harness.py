@@ -55,6 +55,9 @@ DEFAULT_EPS = 1e-3
 # stage n of the fan's towers enumerates n rationals, and example2 counts a
 # rational's enumeration index in O(|p| + q)
 MAX_STAGE = 2**20
+# the largest grid dim: a point lies in up to 2^dim supports, so a probe
+# holds 2^dim live keys per level (dim 14, one probe: 141 MB on a 2-core host)
+MAX_DIM = 12
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +74,11 @@ class FunctionSpec:
 
 
 def _constant_function() -> SectionedFunction:
-    return SectionedFunction.from_callable(lambda x, y: 0.5)
+    return SectionedFunction(lambda x, y: 0.5)
 
 
 def _product_function() -> SectionedFunction:
-    return SectionedFunction.from_callable(lambda x, y: float(x) * as_float(y))
+    return SectionedFunction(lambda x, y: float(x) * as_float(y))
 
 
 def _bilinear_ratio(x, y) -> float:
@@ -87,11 +90,11 @@ def _bilinear_ratio(x, y) -> float:
 
 
 def _sine_sum_function() -> SectionedFunction:
-    return SectionedFunction.from_callable(lambda x, y: math.sin(float(x) + as_float(y)))
+    return SectionedFunction(lambda x, y: math.sin(float(x) + as_float(y)))
 
 
 def _collapsing_function() -> SectionedFunction:
-    return SectionedFunction.from_callable(collapsing_instance())
+    return SectionedFunction(collapsing_instance())
 
 
 def _head_sequence_function() -> SectionedFunction:
@@ -106,7 +109,7 @@ def _head_sequence_function() -> SectionedFunction:
 REGISTRY = {
     "constant": FunctionSpec("pointwise", _constant_function, "constant 0.5", scalar_x=False),
     "product": FunctionSpec("pointwise", _product_function, "x * y on the line"),
-    "bilinear_ratio": FunctionSpec("pointwise", lambda: SectionedFunction.from_callable(_bilinear_ratio), "2xy/(x^2+y^2), 0 at the origin"),
+    "bilinear_ratio": FunctionSpec("pointwise", lambda: SectionedFunction(_bilinear_ratio), "2xy/(x^2+y^2), 0 at the origin"),
     "sine_sum": FunctionSpec("pointwise", _sine_sum_function, "sin(x + y)"),
     "collapsing_bump": FunctionSpec("pointwise", _collapsing_function, "collapsing bump on [-1, 1]"),
     "example1": FunctionSpec("sequential", example1_function, "spike towers on the sequential fan"),
@@ -335,6 +338,7 @@ class Scenario:
             for key in scheme_spec.required:
                 _require(key in scheme_cfg, f"{scheme_cfg['kind']} scheme needs {key!r}")
             _only_keys(scheme_cfg, scheme_spec.required + scheme_spec.optional, f"{scheme_cfg['kind']} scheme")
+            _require(not isinstance(scheme_cfg.get("dim"), int) or scheme_cfg["dim"] <= MAX_DIM, f"grid scheme dim may be at most {MAX_DIM}")
             scheme = _build(f"{scheme_cfg['kind']} scheme", scheme_spec.build, scheme_cfg, max(schedule))
         else:
             _require(scheme_cfg["kind"] == "none", f"{operator} does not take a scheme")
@@ -413,7 +417,7 @@ def load_scenario_file(path) -> Scenario:
 
 
 class ProbeRecord:
-    __slots__ = ("x", "y", "target", "terms", "gaps", "passed", "final_gap")
+    __slots__ = ("x", "y", "target", "terms", "gaps", "passed", "final_gap")  # a report record's keys, in order
 
     def __init__(self, x, y, target: float, terms: tuple, gaps: tuple, passed: bool, final_gap: float):
         self.x, self.y = x, y  # raw probe specs, echoed
@@ -494,22 +498,8 @@ def _summary(probes: int, passed: int) -> dict:
 
 
 def report_data(report: ScenarioReport) -> dict:
-    return {
-        "scenario": report.scenario,
-        "records": [
-            {
-                "x": r.x,
-                "y": r.y,
-                "target": r.target,
-                "terms": list(r.terms),
-                "gaps": list(r.gaps),
-                "passed": r.passed,
-                "final_gap": r.final_gap,
-            }
-            for r in report.records
-        ],
-        "summary": report.summary,
-    }
+    records = [{name: getattr(r, name) for name in ProbeRecord.__slots__} for r in report.records]
+    return {"scenario": report.scenario, "records": records, "summary": report.summary}
 
 
 def suite_data(reports: Sequence[ScenarioReport]) -> dict:

@@ -99,10 +99,6 @@ class SectionedFunction:
     eval: Callable
     anchor_regularity: Callable | None = None
 
-    @classmethod
-    def from_callable(cls, f) -> "SectionedFunction":
-        return cls(eval=f)
-
     def tower_at(self, x) -> BaireTower | None:
         if self.anchor_regularity is None:
             return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -94,9 +94,9 @@ class SupportBox:
         return True
 
 
-class _KeyView(Sequence):
-    """The keys of the product of the integer ranges ``axes``, in key order
-    (that of ``itertools.product``), computed on access and never stored."""
+class _KeyView:
+    """The keys of the product of the integer ranges ``axes``: their count,
+    key order (that of ``itertools.product``) and membership, never stored."""
 
     def __init__(self, axes: tuple):
         self.axes = axes
@@ -106,17 +106,6 @@ class _KeyView(Sequence):
 
     def __iter__(self):
         return itertools.product(*self.axes)
-
-    def __getitem__(self, index: int) -> Key:
-        size = len(self)
-        if not -size <= index < size:
-            raise IndexError(f"key index {index} outside a level of {size} keys")
-        index %= size
-        digits = []
-        for axis in reversed(self.axes):  # mixed radix, last axis fastest
-            index, digit = divmod(index, len(axis))
-            digits.append(axis[digit])
-        return tuple(reversed(digits))
 
     def __contains__(self, key) -> bool:
         return isinstance(key, tuple) and len(key) == len(self.axes) and all(type(j) is int and j in axis for j, axis in zip(key, self.axes))
@@ -371,17 +360,10 @@ def verify_anchoring(scheme: AnchoredScheme, x, radius: float) -> int:
     radius = float(radius)
     if not radius > 0:
         raise ValueError("radius must be positive")
-    ok = []
-    for n in range(1, scheme.n_max + 1):
-        family = scheme.family(n)
-        good = all(
-            _anchor_in_neighborhood(scheme.space_kind, scheme.anchor(n, key), x, radius)
-            for key in family.active_keys(x)
-        )
-        ok.append(good)
     n0 = None
-    for n in range(scheme.n_max, 0, -1):
-        if not ok[n - 1]:
+    for n in range(scheme.n_max, 0, -1):  # the tail ends at the first failure from the top
+        anchors = (scheme.anchor(n, key) for key in scheme.family(n).active_keys(x))
+        if not all(_anchor_in_neighborhood(scheme.space_kind, a, x, radius) for a in anchors):
             break
         n0 = n
     if n0 is None:
@@ -408,7 +390,7 @@ class CoverCellPartition:
     __slots__ = ("keys", "first_of")
     provenance = "disjointified"
 
-    def __init__(self, keys: Sequence, first_of: Callable[[object], Sequence]):
+    def __init__(self, keys: Collection, first_of: Callable[[object], Sequence]):
         self.keys, self.first_of = keys, first_of
 
     @property
@@ -424,7 +406,7 @@ class CoverCellPartition:
         return hits[0]
 
 
-def disjointify(cover: Sequence, first_of=None) -> CoverCellPartition:
+def disjointify(cover: Collection, first_of=None) -> CoverCellPartition:
     """First-containing-index refinement of an ordered cover: cell k keeps the
     points of set k not claimed by any earlier set.  The cover is its keys
     with ``first_of(x)``, which lists in key order the keys of the sets

@@ -21,6 +21,7 @@ from equiblend.harness import (
     ConfigError,
     DEFAULT_EPS,
     DEFAULT_SCHEDULE,
+    MAX_DIM,
     MAX_STAGE,
     OPERATORS,
     REGISTRY,
@@ -203,6 +204,12 @@ def test_rational_y_at_the_bound_runs():
     y = {"rational": [2 * (MAX_STAGE - 1), 2]}
     report = report_data(run_scenario(Scenario.from_dict(_minimal_dict(function="product", probes=[{"x": 0.5, "y": y}]))))
     assert report["summary"]["all_passed"]
+
+
+def test_grid_dim_at_the_bound_parses():
+    # one more is a MALFORMED case
+    sc = Scenario.from_dict(_minimal_dict(scheme={"kind": "grid", "dim": MAX_DIM, "lo": 0.0, "hi": 1.0}, probes=[]))
+    assert sc.config["scheme"]["dim"] == MAX_DIM
 
 
 def test_schedule_must_increase():
@@ -562,6 +569,7 @@ MALFORMED = {
     "probe_outside_the_scheme": {"x_space": {"kind": "real_line"}, "probes": [{"x": 3.0, "y": 0.5}]},
     "unknown_x_space_without_probes": {"x_space": {"kind": "sphere"}, "probes": []},
     "grid_dim_not_an_integer": {"scheme": {"kind": "grid", "dim": 1.7, "lo": 0.0, "hi": 1.0}},
+    "grid_dim_above_the_bound": {"scheme": {"kind": "grid", "dim": MAX_DIM + 1, "lo": 0.0, "hi": 1.0}, "probes": []},
     "z_dim_not_an_integer": {"z_space": {"kind": "line", "dim": 1.5}},
     "schedule_shorter_than_the_tail": {"schedule": [1, 2]},
     "scalar_function_with_list_x": {"function": "product", "probes": [{"x": [0.5], "y": 0.5}]},

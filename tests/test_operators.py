@@ -84,7 +84,7 @@ def test_tower_tail_on_tag_indicator_tower():
 
 
 def test_sectioned_function_from_callable():
-    f = SectionedFunction.from_callable(lambda x, y: float(x) + float(y))
+    f = SectionedFunction(lambda x, y: float(x) + float(y))
     assert f.eval(1.0, 2.0) == 3.0
     assert f.tower_at(1.0) is None
 
@@ -93,7 +93,7 @@ def test_sectioned_function_from_callable():
 
 
 def test_blend_of_constant_function_is_exact():
-    f = SectionedFunction.from_callable(lambda x, y: 0.5)
+    f = SectionedFunction(lambda x, y: 0.5)
     scheme = grid_scheme(1, box=(0.0, 1.0), n_max=4)
     z = affine_space(0.0, 1.0)
     for n in (1, 2, 3, 4):
@@ -104,7 +104,7 @@ def test_blend_of_constant_function_is_exact():
 def test_blend_reproduces_linear_sections():
     # f(x, y) = x*y is linear in x, and a two-tent blend with node anchors
     # reproduces linear functions up to float dust
-    f = SectionedFunction.from_callable(lambda x, y: float(x) * float(y))
+    f = SectionedFunction(lambda x, y: float(x) * float(y))
     scheme = grid_scheme(1, box=(0.0, 1.0), n_max=8)
     z = affine_line(1)
     rng = np.random.default_rng(7)
@@ -117,7 +117,7 @@ def test_blend_reproduces_linear_sections():
 
 
 def test_blend_outside_every_support_raises():
-    f = SectionedFunction.from_callable(lambda x, y: 0.0)
+    f = SectionedFunction(lambda x, y: 0.0)
     scheme = sorgenfrey_scheme(n_max=2, domain=(0.0, 1.0))
     z = affine_line(1)
     term = lambda_blend(f, scheme, z, 2)
@@ -126,7 +126,7 @@ def test_blend_outside_every_support_raises():
 
 
 def test_blend_on_single_tile_equals_anchor_value():
-    f = SectionedFunction.from_callable(lambda x, y: float(x) * 7.0 + float(y))
+    f = SectionedFunction(lambda x, y: float(x) * 7.0 + float(y))
     scheme = sorgenfrey_scheme(n_max=4, domain=(0.0, 1.0))
     z = affine_line(1)
     term = lambda_blend(f, scheme, z, 4)
@@ -140,7 +140,7 @@ def test_blend_on_single_tile_equals_anchor_value():
 
 
 def test_piecewise_anchor_matches_blend_on_half_open_tiles():
-    f = SectionedFunction.from_callable(lambda x, y: float(np.sin(float(x) + float(y))))
+    f = SectionedFunction(lambda x, y: float(np.sin(float(x) + float(y))))
     scheme = sorgenfrey_scheme(n_max=8, domain=(0.0, 1.0))
     z = affine_line(1)
     blend = lambda_blend(f, scheme, z, 8)
