@@ -86,6 +86,9 @@ def _bilinear_ratio(x, y) -> float:
     v = as_float(y)
     if x == 0.0 and v == 0.0:
         return 0.0
+    if max(abs(x), abs(v)) < 2.0 ** -500:
+        # a common factor leaves the ratio alone, and a power of two scales exactly
+        x, v = x * 2.0 ** 600, v * 2.0 ** 600
     return 2.0 * x * v / (x * x + v * v)
 
 

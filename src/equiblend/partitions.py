@@ -1,10 +1,10 @@
 """Partitions of unity with decidable supports, anchored refinement schemes,
 and cover combinatorics on the model line and grid.
 
-Supports are interval/box descriptors with per-axis open/closed flags, so
-"x lies in the support" is an exact float comparison rather than a threshold
-on the bump value.  Bumps evaluate to exact 0.0 outside their declared
-support.
+A support is a product of intervals, one per axis, each with open/closed
+endpoint flags, so "x lies in the support" is an exact float comparison
+rather than a threshold on the bump value.  A bump is only evaluated on its
+declared support and counts as exact 0.0 outside it.
 """
 
 from __future__ import annotations
@@ -48,50 +48,22 @@ def _as_key(key) -> Key:
 
 
 class SupportBox:
-    """Axis-aligned box with per-axis closed/open endpoint flags."""
+    """An interval of the line with closed/open endpoint flags; a support is
+    the product of one such interval per axis."""
 
     __slots__ = ("lo", "hi", "closed_lo", "closed_hi")
 
-    def __init__(self, lo: tuple, hi: tuple, closed_lo: tuple, closed_hi: tuple):
+    def __init__(self, lo: float, hi: float, closed_lo: bool, closed_hi: bool):
         self.lo, self.hi, self.closed_lo, self.closed_hi = lo, hi, closed_lo, closed_hi
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lo, self.hi, self.closed_lo, self.closed_hi) == (other.lo, other.hi, other.closed_lo, other.closed_hi)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi, self.closed_lo, self.closed_hi))
 
     @classmethod
     def interval(cls, lo: float, hi: float, closed_lo: bool = True, closed_hi: bool = True) -> "SupportBox":
-        return cls((float(lo),), (float(hi),), (bool(closed_lo),), (bool(closed_hi),))
+        return cls(float(lo), float(hi), bool(closed_lo), bool(closed_hi))
 
-    @classmethod
-    def box(cls, los, his) -> "SupportBox":
-        """The closed box with the given corners."""
-        los = tuple(map(float, los))
-        closed = (True,) * len(los)
-        return cls(los, tuple(map(float, his)), closed, closed)
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-    def contains(self, x) -> bool:
-        """Whether x lies in the box.  Every comparison must hold for
-        membership, so a nan coordinate, which fails them all, is in no box."""
-        if len(self.lo) == 1 and isinstance(x, (int, float)):
-            v = float(x)
-            lo, hi = self.lo[0], self.hi[0]
-            return (v > lo or (v == lo and self.closed_lo[0])) and (v < hi or (v == hi and self.closed_hi[0]))
-        coords = _coords(x)
-        if len(coords) != self.dim:
-            return False
-        for v, lo, hi, clo, chi in zip(coords, self.lo, self.hi, self.closed_lo, self.closed_hi):
-            if not ((v > lo or (v == lo and clo)) and (v < hi or (v == hi and chi))):
-                return False
-        return True
+    def contains(self, v) -> bool:
+        """Whether the number v lies in the interval.  Both comparisons must
+        hold for membership, so nan, which fails them all, is in no interval."""
+        return (v > self.lo or (v == self.lo and self.closed_lo)) and (v < self.hi or (v == self.hi and self.closed_hi))
 
 
 class _KeyView:
@@ -113,13 +85,13 @@ class _KeyView:
 
 class BumpFamily:
     """An indexed family of bumps with declared supports: key k's support is
-    the box with i-th side ``interval(k[i])``.
+    the product of the intervals ``interval(j)`` for j in k.
 
-    ``bump(key, x)`` is only called on points of ``support_of(key)``, and
-    ``eval(key, x)`` is exactly 0.0 whenever x falls outside it; families
-    here are finite, so local finiteness holds with the whole space as
-    witness neighborhood.  ``near(v, axis)`` lists the indices of ``axis``
-    whose interval may hold the coordinate v; a lookup tests only those.
+    ``bump(key, x)`` is only called on points of key's support and counts as
+    exactly 0.0 off it; families here are finite, so local finiteness holds
+    with the whole space as witness neighborhood.  ``near(v, axis)`` lists
+    the indices of ``axis`` whose interval may hold the coordinate v; a
+    lookup tests only those.
     """
 
     __slots__ = ("index_keys", "bump", "interval", "near")
@@ -133,16 +105,9 @@ class BumpFamily:
     ):
         self.index_keys, self.bump, self.interval, self.near = index_keys, bump, interval, near
 
-    def support_of(self, key) -> SupportBox:
-        sides = [self.interval(j) for j in key]
-        return SupportBox(*(tuple(getattr(side, face)[0] for side in sides) for face in ("lo", "hi", "closed_lo", "closed_hi")))
-
-    def eval(self, key, x) -> float:
-        return self.bump(key, x) if self.support_of(key).contains(x) else 0.0
-
     def active_keys(self, x) -> list:
         """Keys whose support holds x, in key order: the product of each
-        axis's hits, as a box test is the conjunction of its sides' tests."""
+        axis's hits, as a support test is the conjunction of its intervals' tests."""
         coords = _coords(x)
         axes = self.index_keys.axes
         if len(coords) != len(axes):
@@ -166,10 +131,11 @@ class DenseSet:
     inside any nonempty region."""
 
     tag: str
-    pick: Callable[[SupportBox], object]
+    pick: Callable[[tuple[SupportBox, ...]], object]  # a region: one interval per axis
 
 
-def _coarsest_dyadic_in(lo: float, hi: float, closed_lo: bool, closed_hi: bool) -> float:
+def _coarsest_dyadic_in(interval: SupportBox) -> float:
+    lo, hi, closed_lo, closed_hi = interval.lo, interval.hi, interval.closed_lo, interval.closed_hi
     q = 1.0
     for _ in range(61):
         p = math.ceil(lo * q)
@@ -187,12 +153,9 @@ def dyadic_dense() -> DenseSet:
     """Dyadic rationals p/2^k, picked deterministically: coarsest level first,
     then smallest numerator."""
 
-    def pick(region: SupportBox):
-        coords = [
-            _coarsest_dyadic_in(region.lo[i], region.hi[i], region.closed_lo[i], region.closed_hi[i])
-            for i in range(region.dim)
-        ]
-        return coords[0] if region.dim == 1 else tuple(coords)
+    def pick(region: tuple):
+        coords = tuple(map(_coarsest_dyadic_in, region))
+        return coords[0] if len(coords) == 1 else coords
 
     return DenseSet(tag="dyadic", pick=pick)
 
@@ -243,11 +206,11 @@ def _anchored_level(axes: tuple, interval, near, bump, anchor_region, dense: Den
     integer ranges ``axes``, and its anchors, a function of the key; nothing
     is built per key.
 
-    ``bump(key, x)`` need only be right on ``support_of(key)``: the family
-    never calls it elsewhere.  Each key's anchor is the dense set's pick
-    inside ``anchor_region(key)``, made on first use and kept; a key outside
-    the level raises ``KeyError``.  Both schemes memoise ``interval``, so a
-    level builds each axis index's interval once.
+    ``bump(key, x)`` need only be right on key's support: the family never
+    calls it elsewhere.  Each key's anchor is the dense set's pick inside
+    ``anchor_region(key)``, one interval per axis, made on first use and
+    kept; a key outside the level raises ``KeyError``.  Both schemes
+    memoise ``interval``, so a level builds each axis index's interval once.
     """
     keys = _KeyView(axes)
     family = BumpFamily(index_keys=keys, bump=bump, interval=interval, near=near)
@@ -272,7 +235,8 @@ def _check_resolution(n_max, lo: float, hi: float) -> None:
 def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
     """Multilinear tent partitions on the mesh-(1/n) grid over a box.
 
-    The box side length must be a whole number so every mesh tiles it exactly.
+    The box's hi must be lo plus a whole number, exactly, so every mesh tiles
+    it and the top node lands on hi.
     Node j's tent support runs from node j-1 to node j+1 per axis (clamped to
     the box), declared left-closed/right-open and closing at the box's top
     face; bounds are node coordinates, so any point lies in at most 2^dim
@@ -283,9 +247,9 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
     side = hi - lo
     if not 0 < side < math.inf:
         raise ValueError("box must have finite, positive side length")
-    if abs(side - round(side)) > 1e-9:
-        raise ValueError("box side length must be a whole number so meshes tile it exactly")
-    side = int(round(side))
+    side = round(side)
+    if lo + side != hi:
+        raise ValueError("box hi must be lo plus a whole number so meshes tile it exactly")
     _check_resolution(n_max, lo, hi)
     dense = dyadic_dense()
 
@@ -295,7 +259,7 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
 
         @cache
         def interval(j):
-            return SupportBox((lo + max(j - 1, 0) / n,), (lo + min(j + 1, count) / n,), (True,), (j + 1 >= count,))
+            return SupportBox(lo + max(j - 1, 0) / n, lo + min(j + 1, count) / n, True, j + 1 >= count)
 
         def tent(key, x) -> float:
             value = 1.0
@@ -304,8 +268,7 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
             return value
 
         def node_box(key):
-            node = [lo + j / n for j in key]
-            return SupportBox.box([max(c - r, lo) for c in node], [min(c + r, hi) for c in node])
+            return tuple(SupportBox.interval(max(c - r, lo), min(c + r, hi)) for c in (lo + j / n for j in key))
 
         # nodes floor(t)-1 .. floor(t)+2 for t = (v - lo)*n: float rounding
         # of t cannot drop a support holding v
@@ -337,7 +300,7 @@ def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
 
         axes = (range(math.floor(lo * n) - 1, math.ceil(hi * n) + 2),)
         # x lies in tile floor(x*n)+1, up to float rounding of x*n
-        return _anchored_level(axes, tile, partial(_near, 0.0, n, 0, 2), lambda key, x: 1.0, lambda key: tile(key[0] + 1), dense)
+        return _anchored_level(axes, tile, partial(_near, 0.0, n, 0, 2), lambda key, x: 1.0, lambda key: (tile(key[0] + 1),), dense)
 
     describe = {
         "kind": "sorgenfrey",

@@ -583,17 +583,12 @@ def test_origin_section_oscillates_on_fine_intervals():
 
 
 def meets(a: SupportBox, b: SupportBox) -> bool:
-    """Whether the two boxes share a point, open and closed faces honored:
+    """Whether the two intervals share a point, open and closed ends honored:
     the reference the cells' regions are checked against."""
-    if a.dim != b.dim:
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo > hi:
         return False
-    for a_lo, a_hi, a_clo, a_chi, b_lo, b_hi, b_clo, b_chi in zip(a.lo, a.hi, a.closed_lo, a.closed_hi, b.lo, b.hi, b.closed_lo, b.closed_hi):
-        lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-        if lo > hi:
-            return False
-        if lo == hi and not ((lo > a_lo or a_clo) and (lo > b_lo or b_clo) and (hi < a_hi or a_chi) and (hi < b_hi or b_chi)):
-            return False
-    return True
+    return lo < hi or ((lo > a.lo or a.closed_lo) and (lo > b.lo or b.closed_lo) and (hi < a.hi or a.closed_hi) and (hi < b.hi or b.closed_hi))
 
 
 def test_meets_respects_open_faces():

@@ -34,7 +34,6 @@ from equiblend.harness import (
     run_scenario,
     suite_data,
 )
-from equiblend.partitions import SupportBox
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -59,13 +58,14 @@ def _minimal_dict(**overrides) -> dict:
 
 
 def test_defaults_fill_in():
+    # hi - lo is 1.9999999999999998, but 0.3 + 2 == 2.3: the top node lands on hi
     sc = Scenario.from_dict(
         {
             "name": "d",
             "function": "constant",
             "operator": "lambda_blend",
-            "scheme": {"kind": "grid", "dim": 1, "lo": 0.0, "hi": 1.0},
-            "probes": [{"x": 0.5, "y": 0.0}],
+            "scheme": {"kind": "grid", "dim": 1, "lo": 0.3, "hi": 2.3},
+            "probes": [{"x": 0.5, "y": 0.0}, {"x": 2.3, "y": 0.0}],
         }
     )
     assert sc.config["schedule"] == list(DEFAULT_SCHEDULE)
@@ -325,6 +325,21 @@ def test_failing_probe_is_reported_not_raised():
     assert rep.summary["failed"] == 1
 
 
+def test_bilinear_ratio_where_both_squares_underflow():
+    ratio = REGISTRY["bilinear_ratio"].make().eval
+    assert ratio(1e-300, 0.0) == 0.0
+    assert ratio(0.0, 1e-300) == 0.0
+    assert ratio(1e-300, 1e-300) == 1.0
+    assert ratio(5e-324, 5e-324) == 1.0
+
+
+@pytest.mark.parametrize("probe", [{"x": 1e-300, "y": 0.0}, {"x": 0.5, "y": 1e-300}], ids=["target", "term_at_anchor_0"])
+def test_bilinear_ratio_blend_runs_at_underflowing_probes(probe):
+    scheme = {"kind": "grid", "dim": 1, "lo": -1.0, "hi": 1.0}
+    rep = run_scenario(Scenario.from_dict(_minimal_dict(function="bilinear_ratio", scheme=scheme, probes=[probe])))
+    assert rep.summary["all_passed"]
+
+
 # -------------------------------------------------------------- serialization
 
 
@@ -558,6 +573,7 @@ MALFORMED = {
     "sorgenfrey_domain_one_number": {"scheme": {"kind": "sorgenfrey", "domain": [0.5]}},
     "grid_lo_not_a_number": {"scheme": {"kind": "grid", "dim": 1, "lo": "x", "hi": 1.0}},
     "grid_side_not_whole": {"scheme": {"kind": "grid", "dim": 1, "lo": 0.0, "hi": 1.5}},
+    "grid_side_whole_only_within_rounding": {"scheme": {"kind": "grid", "dim": 1, "lo": -1.0, "hi": 1.0000000001}},
     "z_dim_not_a_number": {"z_space": {"kind": "line", "dim": "x"}},
     "z_dim_two": {"z_space": {"kind": "line", "dim": 2}},
     "scalar_function_on_dim2_grid": {
@@ -771,15 +787,6 @@ VALUE_CLASSES = {
     "SequentialPoint": (
         lambda: SequentialPoint.leaf(2, 4),
         [SequentialPoint.level(2), SequentialPoint.leaf(3, 9), SequentialPoint.leaf(2, 5)],
-    ),
-    "SupportBox": (
-        lambda: SupportBox((0.0,), (1.0,), (True,), (False,)),
-        [
-            SupportBox((0.5,), (1.0,), (True,), (False,)),
-            SupportBox((0.0,), (2.0,), (True,), (False,)),
-            SupportBox((0.0,), (1.0,), (False,), (False,)),
-            SupportBox((0.0,), (1.0,), (True,), (True,)),
-        ],
     ),
 }
 

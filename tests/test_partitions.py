@@ -6,6 +6,8 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -46,17 +48,21 @@ def test_interval_edge_membership():
     # nan fails every comparison, so it lies in no interval
     assert not closed.contains(float("nan"))
     assert not SupportBox.interval(float("-inf"), float("inf")).contains(np.float64("nan"))
-
-
-def test_box_membership_dim2():
-    b = SupportBox((0.0, 0.0), (1.0, 2.0), (True, True), (False, True))
-    assert SupportBox.box([0.0, 0.0], [1.0, 2.0]) == SupportBox((0.0, 0.0), (1.0, 2.0), (True, True), (True, True))
-    assert b.dim == 2
-    assert b.contains([0.5, 2.0])
-    assert not b.contains([1.0, 1.0])
-    assert not b.contains([0.5, 2.5])
-    assert not b.contains([np.nan, 1.0])
-    assert not b.contains([0.5, np.nan])
+    # adversarial floats on a dyadic and a non-dyadic interval, every pair of
+    # end flags: each face and its 1-ulp neighbours, -0.0 at a 0.0 face, the
+    # infinities, nan and the least subnormal; finite points are checked
+    # against exact rational comparisons
+    for lo, hi in ((0.0, 1.0), (0.1, 0.7)):
+        points = [v for face in (lo, hi) for v in (math.nextafter(face, -math.inf), face, math.nextafter(face, math.inf))]
+        points += [-0.0, math.inf, -math.inf, math.nan, 5e-324]
+        for closed_lo, closed_hi in itertools.product((True, False), repeat=2):
+            interval = SupportBox.interval(lo, hi, closed_lo, closed_hi)
+            for v in points:
+                expected = False
+                if math.isfinite(v):
+                    a, b, q = Fraction(lo), Fraction(hi), Fraction(v)
+                    expected = a < q < b or (q == a and closed_lo) or (q == b and closed_hi)
+                assert interval.contains(v) is expected, (lo, hi, closed_lo, closed_hi, v)
 
 
 # ---------------------------------------------------------------- dense sets
@@ -64,23 +70,27 @@ def test_box_membership_dim2():
 
 def test_dyadic_pick_is_coarsest():
     d = dyadic_dense()
-    assert d.pick(SupportBox.interval(0.3, 0.4)) == 0.375
-    assert d.pick(SupportBox.interval(0.0, 1.0, closed_hi=False)) == 0.0
-    assert d.pick(SupportBox.interval(0.5, 0.75, closed_hi=False)) == 0.5
-    assert d.pick(SupportBox.interval(0.5, 0.75, closed_lo=False)) == 0.75
+    assert d.pick((SupportBox.interval(0.3, 0.4),)) == 0.375
+    assert d.pick((SupportBox.interval(0.0, 1.0, closed_hi=False),)) == 0.0
+    assert d.pick((SupportBox.interval(0.5, 0.75, closed_hi=False),)) == 0.5
+    assert d.pick((SupportBox.interval(0.5, 0.75, closed_lo=False),)) == 0.75
+    # a region of several axes picks on each and gives a tuple
+    assert d.pick((SupportBox.interval(0.3, 0.4), SupportBox.interval(0.5, 0.75, closed_lo=False))) == (0.375, 0.75)
 
 
 def test_dyadic_pick_succeeds_on_float_singleton():
     # every float is a dyadic rational, so a closed degenerate window still
     # has a pick: the point itself
     d = dyadic_dense()
-    assert d.pick(SupportBox.interval(0.1, 0.1)) == 0.1
+    assert d.pick((SupportBox.interval(0.1, 0.1),)) == 0.1
 
 
 def test_dyadic_pick_fails_on_empty_window():
     d = dyadic_dense()
     with pytest.raises(DenseSetError):
-        d.pick(SupportBox.interval(0.1, 0.1, closed_hi=False))
+        d.pick((SupportBox.interval(0.1, 0.1, closed_hi=False),))
+    with pytest.raises(DenseSetError):
+        d.pick((SupportBox.interval(0.3, 0.4), SupportBox.interval(0.1, 0.1, closed_hi=False)))
 
 
 # ---------------------------------------------------------------- grid scheme
@@ -119,16 +129,13 @@ def test_grid_supports_cover_without_slack():
     fam = scheme.family(4)
     # supports touching the top face clamp closed there, so the corner point
     # sits in the last two supports but all its weight rides the top node
-    keys = fam.active_keys(1.0)
-    assert keys == [(3,), (4,)]
-    assert fam.eval((4,), 1.0) == 1.0
-    assert fam.eval((3,), 1.0) == 0.0
+    assert fam.weights_at(1.0) == [((3,), 0.0), ((4,), 1.0)]
     # interior mesh edges stay right-open: one-sided membership only
-    assert fam.support_of((1,)).contains(0.25)
-    assert not fam.support_of((1,)).contains(0.5)
+    assert fam.interval(1).contains(0.25)
+    assert not fam.interval(1).contains(0.5)
     # just outside the box nothing is active
     assert fam.active_keys(1.25) == []
-    assert fam.eval((2,), 1.25) == 0.0
+    assert fam.weights_at(1.25) == []
 
 
 @pytest.mark.parametrize("x", [(0.3, 0.55), (0.3, 0.55, 0.125)], ids=["dim2", "dim3"])
@@ -138,30 +145,24 @@ def test_weights_at_makes_at_most_four_interval_tests_per_axis(monkeypatch, x):
     fam = grid_scheme(dim, box=(0.0, 1.0), n_max=8).family(8)
     tested = []
     contains = SupportBox.contains
-
-    def support_of(family, key):
-        raise AssertionError("a lookup built a support box")
-
-    monkeypatch.setattr(SupportBox, "contains", lambda box, p: tested.append(box) or contains(box, p))
+    monkeypatch.setattr(SupportBox, "contains", lambda interval, v: tested.append(v) or contains(interval, v))
     weights = fam.weights_at(x)
     assert 0 < len(tested) <= 4 * dim  # a test per candidate key took 4^dim
-    assert all(box.dim == 1 for box in tested)
-    monkeypatch.setattr(partitions.BumpFamily, "support_of", support_of)
-    assert fam.weights_at(x) == weights
+    assert set(tested) <= set(x)  # each test is of one coordinate
     monkeypatch.undo()
-    full_scan = [k for k in fam.index_keys if fam.support_of(k).contains(x)]
+    full_scan = [k for k in fam.index_keys if _in_support(fam, k, x)]
     assert [k for k, _ in weights] == full_scan
-    assert [w for _, w in weights] == [fam.eval(k, x) for k in full_scan]
+    assert [w for _, w in weights] == [fam.bump(k, x) for k in full_scan]
 
 
 def test_grid_full_box_support_at_level_one():
     # with one mesh cell the interior node's support is the whole box, closed
     scheme = grid_scheme(1, box=(0.0, 1.0), n_max=2)
-    sup = scheme.family(1).support_of((0,))
-    assert sup.lo == (0.0,)
-    assert sup.hi == (1.0,)
-    assert sup.closed_lo == (True,)
-    assert sup.closed_hi == (True,)
+    sup = scheme.family(1).interval(0)
+    assert sup.lo == 0.0
+    assert sup.hi == 1.0
+    assert sup.closed_lo is True
+    assert sup.closed_hi is True
 
 
 def test_grid_anchor_hits_dyadic_nodes():
@@ -218,8 +219,8 @@ def test_sorgenfrey_anchor_sits_ahead_of_its_tile():
             # the pick window [i/n, (i+1)/n) starts at a dyadic point, so the
             # anchor is the tile's excluded right endpoint, exactly
             assert anchor == i / n
-            sup = fam.support_of((i,))
-            assert sup.hi[0] == anchor
+            sup = fam.interval(i)
+            assert sup.hi == anchor
             assert not sup.contains(anchor)
 
 
@@ -257,6 +258,13 @@ def _edge_coords(lo: float, hi: float, n: int) -> list:
     return near + [lo - 0.5, hi + 0.5, -np.inf, np.inf]
 
 
+def _in_support(fam, key, x) -> bool:
+    """The reference support test: key's interval on each axis holds x's
+    coordinate there, and x has one coordinate per axis."""
+    coords = [float(v) for v in np.ravel(x)]
+    return len(coords) == len(key) and all(fam.interval(j).contains(v) for j, v in zip(key, coords))
+
+
 def _lookup_cases():
     for dim, ns in ((1, (3, 7, 10, 49)), (2, (3, 7)), (3, (3,))):
         scheme = grid_scheme(dim, box=(-1.0, 2.0), n_max=max(ns))
@@ -282,10 +290,10 @@ def test_candidate_lookup_matches_the_full_scan():
     for scheme, n, points in _lookup_cases():
         fam = scheme.family(n)
         cells = disjointify(fam.index_keys, fam.active_keys)
-        chain = disjointify([(k, fam.support_of(k).contains) for k in fam.index_keys])
+        chain = disjointify([(k, partial(_in_support, fam, k)) for k in fam.index_keys])
         assert [key for key, _ in cells.cells] == [key for key, _ in chain.cells]
         for x in points:
-            assert fam.active_keys(x) == [k for k in fam.index_keys if fam.support_of(k).contains(x)]
+            assert fam.active_keys(x) == [k for k in fam.index_keys if _in_support(fam, k, x)]
             if len(fam.index_keys) > 500:
                 continue  # the predicate cover costs O(#keys) per point
             try:
@@ -381,23 +389,25 @@ def test_a_level_builds_each_interval_once(monkeypatch, kind):
     assert fam.interval(3) is fam.interval(3)
     weights = fam.weights_at(x)
     key = weights[0][0]
-    support = fam.support_of(key)
+    support = [fam.interval(j) for j in key]
     built = []
     init = SupportBox.__init__
-    monkeypatch.setattr(SupportBox, "__init__", lambda box, *args: built.append(args) or init(box, *args))
+    monkeypatch.setattr(SupportBox, "__init__", lambda interval, *args: built.append(args) or init(interval, *args))
     for _ in range(3):
         assert fam.weights_at(x) == weights
         assert fam.active_keys(x) == [k for k, _ in weights]
+    # a support's intervals are the level's kept ones
+    assert all(fam.interval(j) is side for j, side in zip(key, support))
     assert built == []
-    # a support is the key's own box over the level's kept intervals
-    assert fam.support_of(key) == support
-    assert len(built) == 1
 
 
 def test_nan_lies_in_no_support():
     fam = grid_scheme(2, box=(0.0, 1.0), n_max=8).family(8)
-    assert [k for k in fam.index_keys if fam.support_of(k).contains(np.array([np.nan, 0.5]))] == []
-    assert fam.active_keys(np.array([np.nan, 0.5])) == []
+    for x in (np.array([np.nan, 0.5]), np.array([0.5, np.nan])):
+        assert [k for k in fam.index_keys if _in_support(fam, k, x)] == []
+        assert fam.active_keys(x) == []
+    # the other coordinate alone lies in some interval
+    assert any(fam.interval(j).contains(0.5) for j in fam.index_keys.axes[0])
 
 
 
@@ -407,7 +417,8 @@ def test_numpy_scalar_points_weigh_like_floats():
     for x in (np.array(0.3), np.float64(0.3)):
         assert fam.weights_at(x) == expected
     assert fam.active_keys(np.float32(0.25)) == fam.active_keys(float(np.float32(0.25)))
-    assert fam.support_of(fam.active_keys(0.25)[0]).contains(np.array(0.25))
+    (j,) = fam.active_keys(0.25)[0]
+    assert fam.interval(j).contains(np.array(0.25)) and fam.interval(j).contains(np.float64(0.25))
 
 def _counted_picks(monkeypatch) -> list:
     picks = []
@@ -445,7 +456,7 @@ def test_lazy_anchors_equal_the_eager_picks(monkeypatch):
         eager = {}
         for key in scheme.family(n).index_keys:
             node = [-1.0 + j / n for j in key]
-            region = SupportBox.box([max(c - 0.5 / n, -1.0) for c in node], [min(c + 0.5 / n, 1.0) for c in node])
+            region = tuple(SupportBox.interval(max(c - 0.5 / n, -1.0), min(c + 0.5 / n, 1.0)) for c in node)
             eager[key] = dense.pick(region)
         picked = len(picks)
         lazy = {key: scheme.anchor(n, key) for key in scheme.family(n).index_keys}
@@ -460,7 +471,7 @@ def test_lazy_anchors_equal_the_eager_picks(monkeypatch):
     scheme = sorgenfrey_scheme(n_max=8)
     for n in (3, 8):
         anchors = {key: scheme.anchor(n, key) for key in scheme.family(n).index_keys}
-        assert anchors == {key: dense.pick(SupportBox.interval(key[0] / n, (key[0] + 1) / n, closed_hi=False)) for key in scheme.family(n).index_keys}
+        assert anchors == {key: dense.pick((SupportBox.interval(key[0] / n, (key[0] + 1) / n, closed_hi=False),)) for key in scheme.family(n).index_keys}
         with pytest.raises(KeyError):
             scheme.anchor(n, (n + 2,))
 
