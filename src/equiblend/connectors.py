@@ -196,7 +196,7 @@ def _clean_weights(values) -> tuple:
 
 def _fold(space: ConnectorSpace, points: list, weights: tuple) -> Point:
     for p in points:
-        size = len(_coords(p))
+        size = 1 if space.point_dim == 1 and isinstance(p, float) else len(_coords(p))
         if size != space.point_dim:
             raise WeightError(f"point of dimension {size} in a {space.point_dim}-dimensional space")
     point, total = points[0], weights[0]

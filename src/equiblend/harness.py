@@ -8,8 +8,8 @@ against the function's own value at each probe.  Four tables, one per
 concept (``OPERATORS``, ``SCHEMES``, ``Z_SPACES``, ``X_SPACES``), drive
 parsing, running and listing; parsing builds the function, the scheme and
 the z-space once, so bad values fail as ``ConfigError`` before any run.
-Reports serialize through ``json`` with shortest round-trip floats
-and fixed key order, so identical runs produce identical bytes.
+JSON reports have the bytes of ``json.dumps(indent=2)``: shortest
+round-trip floats and fixed key order, so identical runs give identical bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .connectors import _coords, affine_line, affine_space, warped_line
 from .gallery import (
@@ -86,9 +87,11 @@ def _bilinear_ratio(x, y) -> float:
     v = as_float(y)
     if x == 0.0 and v == 0.0:
         return 0.0
-    if max(abs(x), abs(v)) < 2.0 ** -500:
-        # a common factor leaves the ratio alone, and a power of two scales exactly
-        x, v = x * 2.0 ** 600, v * 2.0 ** 600
+    big = max(abs(x), abs(v))
+    if not 2.0 ** -500 <= big <= 2.0 ** 500:
+        # the squares would under- or overflow: scaling both by the power of two that takes big to [0.5, 1) is exact and keeps the ratio
+        e = math.frexp(big)[1]
+        x, v = math.ldexp(x, -e), math.ldexp(v, -e)
     return 2.0 * x * v / (x * x + v * v)
 
 
@@ -486,7 +489,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
                 x=raw["x"],
                 y=raw["y"],
                 target=float(target),
-                terms=tuple(float(t) for t in terms),
+                terms=tuple(map(float, terms)),
                 gaps=gaps,
                 passed=passed,
                 final_gap=float(final_gap),
@@ -519,8 +522,48 @@ def suite_data(reports: Sequence[ScenarioReport]) -> dict:
 # rendering
 
 
+# how json writes a scalar: strings through its C escaper, numbers by repr
+_SCALARS = {str: encode_basestring_ascii, float: float.__repr__, int: int.__repr__, bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def _write(value, indent: str, out: list) -> None:
+    """Append what ``json.dumps(indent=2, allow_nan=False)`` writes for a value
+    of the types json reads, at this indent, with string dict keys: in fewer
+    calls than json's pure-Python encoder, and one join per list of floats."""
+    scalar = _SCALARS.get(type(value))
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if scalar is not None:
+        out.append(scalar(value))
+        return
+    if not isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        lead = "{\n" + inner
+        for key, v in value.items():
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            _write(v, inner, out)
+            lead = sep
+        out.append("\n" + indent + "}")
+    elif all(type(v) is float for v in value) and all(map(math.isfinite, value)):
+        out.append("[\n" + inner + sep.join(map(float.__repr__, value)) + "\n" + indent + "]")
+    else:
+        lead = "[\n" + inner
+        for v in value:
+            out.append(lead)
+            _write(v, inner, out)
+            lead = sep
+        out.append("\n" + indent + "]")
+
+
 def render_json(data: dict) -> str:
-    return json.dumps(data, indent=2, allow_nan=False) + "\n"
+    out = []
+    _write(data, "", out)
+    return "".join(out) + "\n"
 
 
 def _cell(value) -> str:

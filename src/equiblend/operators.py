@@ -116,10 +116,14 @@ def lambda_blend(f: SectionedFunction, scheme: AnchoredScheme, z_space: Connecto
     family, anchors = scheme.level(n)
 
     def term(x, y):
-        live = [(key, w) for key, w in family.weights_at(x) if w > 0.0]
-        if not live:
+        points, weights = [], []
+        for key, w in family.weights_at(x):
+            if w > 0.0:
+                points.append(f.eval(anchors(key), y))
+                weights.append(w)
+        if not points:
             raise PartitionViolationError(f"no bump is positive at {x!r} (level {n})")
-        return lambda_sum(z_space, [f.eval(anchors(key), y) for key, _ in live], [w for _, w in live])
+        return lambda_sum(z_space, points, weights)
 
     return term
 

@@ -17,9 +17,6 @@ from functools import cache, partial
 
 from .connectors import _check_dim, _coords, _norm_metric
 
-Key = tuple
-
-
 class DenseSetError(RuntimeError):
     pass
 
@@ -36,7 +33,7 @@ class FamilyError(ValueError):
     pass
 
 
-def _as_key(key) -> Key:
+def _as_key(key) -> tuple:
     # bools hash and compare like 0 and 1, but are not keys
     if isinstance(key, tuple):
         if not key or not all(type(k) is int for k in key):
@@ -85,40 +82,45 @@ class _KeyView:
 
 class BumpFamily:
     """An indexed family of bumps with declared supports: key k's support is
-    the product of the intervals ``interval(j)`` for j in k.
+    the product of the intervals ``interval(j)`` for j in k, and its bump the
+    product of the axis weights ``weight(j, v)`` at the point's coordinates.
 
-    ``bump(key, x)`` is only called on points of key's support and counts as
-    exactly 0.0 off it; families here are finite, so local finiteness holds
-    with the whole space as witness neighborhood.  ``near(v, axis)`` lists
-    the indices of ``axis`` whose interval may hold the coordinate v; a
-    lookup tests only those.
+    ``weight(j, v)`` is only called for v in ``interval(j)``; a bump counts
+    as exactly 0.0 off its support, and families here are finite, so local
+    finiteness holds with the whole space as witness neighborhood.
+    ``near(v, axis)`` lists the indices of ``axis`` whose interval may hold
+    the coordinate v; a lookup tests only those.
     """
 
-    __slots__ = ("index_keys", "bump", "interval", "near")
+    __slots__ = ("index_keys", "weight", "interval", "near")
 
     def __init__(
         self,
         index_keys: _KeyView,
-        bump: Callable[[Key, object], float],
+        weight: Callable[[int, float], float],
         interval: Callable[[int], SupportBox],
         near: Callable[[float, range], range],
     ):
-        self.index_keys, self.bump, self.interval, self.near = index_keys, bump, interval, near
+        self.index_keys, self.weight, self.interval, self.near = index_keys, weight, interval, near
 
     def active_keys(self, x) -> list:
-        """Keys whose support holds x, in key order: the product of each
-        axis's hits, as a support test is the conjunction of its intervals' tests."""
+        """Keys whose support holds x, in key order."""
+        return [key for key, _ in self.weights_at(x)]
+
+    def weights_at(self, x) -> list:
+        """(key, bump value) over supports containing x, in key order: keys are
+        the product of each axis's hits, as a support test is the conjunction of
+        its intervals' tests, and values 1.0 times each hit's weight, in axis order."""
         coords = _coords(x)
         axes = self.index_keys.axes
         if len(coords) != len(axes):
             return []
-        hits = [[j for j in self.near(v, axis) if self.interval(j).contains(v)] for v, axis in zip(coords, axes)]
-        return list(itertools.product(*hits))
-
-    def weights_at(self, x) -> list:
-        """(key, bump value) over supports containing x, in key order."""
-        bump = self.bump
-        return [(k, bump(k, x)) for k in self.active_keys(x)]
+        interval, weight = self.interval, self.weight
+        out = [((), 1.0)]
+        for v, axis in zip(coords, axes):
+            hits = [(j, weight(j, v)) for j in self.near(v, axis) if interval(j).contains(v)]
+            out = [(key + (j,), w * a) for key, w in out for j, a in hits]
+        return out
 
     def partition_sum(self, x) -> float:
         return float(sum(v for _, v in self.weights_at(x)))
@@ -185,7 +187,10 @@ class AnchoredScheme:
         return self.level(n)[0]
 
     def anchor(self, n: int, key):
-        return self.level(n)[1](_as_key(key))
+        family, anchor = self.level(n)
+        if (key := _as_key(key)) not in family.index_keys:
+            raise KeyError(key)
+        return anchor(key)
 
     def describe(self) -> dict:
         return dict(self._describe)
@@ -201,27 +206,18 @@ def _near(origin: float, n: int, below: int, above: int, v: float, axis: range) 
     return range(max(f - below, axis.start), min(f + above + 1, axis.stop))
 
 
-def _anchored_level(axes: tuple, interval, near, bump, anchor_region, dense: DenseSet):
+def _anchored_level(axes: tuple, interval, near, weight, anchor_region, dense: DenseSet):
     """One scheme level: the bump family over the keys of the product of the
     integer ranges ``axes``, and its anchors, a function of the key; nothing
     is built per key.
 
-    ``bump(key, x)`` need only be right on key's support: the family never
-    calls it elsewhere.  Each key's anchor is the dense set's pick inside
-    ``anchor_region(key)``, one interval per axis, made on first use and
-    kept; a key outside the level raises ``KeyError``.  Both schemes
+    ``weight(j, v)`` need only be right for v in ``interval(j)``: the family
+    never calls it elsewhere.  Each key's anchor is the dense set's pick inside
+    ``anchor_region(key)``, one interval per axis, made on first use and kept;
+    ``AnchoredScheme.anchor`` rejects keys outside the level.  Both schemes
     memoise ``interval``, so a level builds each axis index's interval once.
     """
-    keys = _KeyView(axes)
-    family = BumpFamily(index_keys=keys, bump=bump, interval=interval, near=near)
-
-    @cache
-    def anchor(key):
-        if key not in keys:
-            raise KeyError(key)
-        return dense.pick(anchor_region(key))
-
-    return family, anchor
+    return BumpFamily(_KeyView(axes), weight, interval, near), cache(lambda key: dense.pick(anchor_region(key)))
 
 
 def _check_resolution(n_max, lo: float, hi: float) -> None:
@@ -261,14 +257,11 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
         def interval(j):
             return SupportBox(lo + max(j - 1, 0) / n, lo + min(j + 1, count) / n, True, j + 1 >= count)
 
-        def tent(key, x) -> float:
-            value = 1.0
-            for v, j in zip(_coords(x), key):
-                value *= max(0.0, 1.0 - n * abs(v - (lo + j / n)))
-            return value
+        def tent(j, v) -> float:
+            return max(0.0, 1.0 - n * abs(v - (lo + j / n)))
 
         def node_box(key):
-            return tuple(SupportBox.interval(max(c - r, lo), min(c + r, hi)) for c in (lo + j / n for j in key))
+            return tuple(SupportBox(max(c - r, lo), min(c + r, hi), True, True) for c in (lo + j / n for j in key))
 
         # nodes floor(t)-1 .. floor(t)+2 for t = (v - lo)*n: float rounding
         # of t cannot drop a support holding v
@@ -300,7 +293,7 @@ def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
 
         axes = (range(math.floor(lo * n) - 1, math.ceil(hi * n) + 2),)
         # x lies in tile floor(x*n)+1, up to float rounding of x*n
-        return _anchored_level(axes, tile, partial(_near, 0.0, n, 0, 2), lambda key, x: 1.0, lambda key: (tile(key[0] + 1),), dense)
+        return _anchored_level(axes, tile, partial(_near, 0.0, n, 0, 2), lambda j, v: 1.0, lambda key: (tile(key[0] + 1),), dense)
 
     describe = {
         "kind": "sorgenfrey",

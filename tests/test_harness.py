@@ -11,9 +11,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from fuzzing import FUZZ, json_values
+from hypothesis import given
+from hypothesis import strategies as st
 
 import equiblend
 from equiblend.gallery import SequentialPoint
@@ -333,6 +337,26 @@ def test_bilinear_ratio_where_both_squares_underflow():
     assert ratio(5e-324, 5e-324) == 1.0
 
 
+def test_bilinear_ratio_where_the_squares_overflow():
+    ratio = REGISTRY["bilinear_ratio"].make().eval
+    for big in (1e200, 1e308, -1e308):
+        assert ratio(big, big) == 1.0
+        assert ratio(big, -big) == -1.0
+    # mixed magnitudes, scaled and not: the formula rounds three times, each
+    # within half an ulp, so the ratio is within 3 * 2**-53 of the exact one
+    for x, y in ((1e15, 1e300), (1e-100, 1e151), (3.3e150, 1.0), (7e250, 1e300), (-2e305, 5e300), (1e-300, 1e-200), (5e-324, 1e-300)):
+        exact = 2 * Fraction(x) * Fraction(y) / (Fraction(x) ** 2 + Fraction(y) ** 2)
+        assert abs(Fraction(ratio(x, y)) - exact) <= Fraction(3, 2**53) * abs(exact), (x, y)
+
+
+def test_bilinear_ratio_blend_runs_at_overflowing_probes():
+    scheme = {"kind": "grid", "dim": 1, "lo": -1e15, "hi": 1e15}
+    probes = [{"x": 1e15, "y": 1e300}, {"x": 1e15, "y": 1e15}]
+    rep = run_scenario(Scenario.from_dict(_minimal_dict(function="bilinear_ratio", scheme=scheme, probes=probes, schedule=[1, 2, 4])))
+    assert all(math.isfinite(t) for r in rep.records for t in r.terms)
+    assert json.loads(render_json(report_data(rep)))["records"][1]["target"] == 1.0
+
+
 @pytest.mark.parametrize("probe", [{"x": 1e-300, "y": 0.0}, {"x": 0.5, "y": 1e-300}], ids=["target", "term_at_anchor_0"])
 def test_bilinear_ratio_blend_runs_at_underflowing_probes(probe):
     scheme = {"kind": "grid", "dim": 1, "lo": -1.0, "hi": 1.0}
@@ -354,6 +378,54 @@ def test_render_json_is_stable_and_roundtrips():
     back = json.loads(s1)
     assert back["summary"]["all_passed"] is True
     assert back["scenario"]["name"] == "demo"
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 2.0**53])
+_strings = st.text(max_size=6) | st.sampled_from(['"\\/\b\f\n\r\t', "\x00\x1f\x7f", "é€😀", "\ud800"])
+# json_values, with tuples, flat float lists and escapes mixed in
+_report_like = st.recursive(
+    json_values | _finite | _strings,
+    lambda inner: st.lists(inner, max_size=4).map(tuple) | st.lists(_finite, max_size=8) | st.lists(_finite, max_size=8).map(tuple) | st.dictionaries(_strings, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@FUZZ
+@given(_report_like)
+def test_render_json_writes_the_bytes_of_json_dumps(value):
+    try:
+        expected = _dumps(value)
+    except ValueError:  # a nan or an infinity somewhere
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_json(value)
+        return
+    assert render_json(value) == expected
+
+
+def test_render_json_writes_every_shipped_report_as_json_dumps():
+    reports = [run_scenario(load_scenario_file(path)) for path in sorted(SCENARIO_DIR.glob("*.json"))]
+    for report in reports:
+        assert render_json(report_data(report)) == _dumps(report_data(report))
+    assert render_json(suite_data(reports)) == _dumps(suite_data(reports))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_render_json_refuses_a_nested_non_finite_float(bad):
+    for value in (bad, [0.5, bad, 0.25], (bad,), {"a": [[1, bad]]}, {"a": {"b": bad}}, [{"terms": (0.5, bad)}]):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_json(value)
+
+
+def test_render_json_refuses_types_a_report_never_holds():
+    # json refuses sets and objects as well; a non-string key, which json
+    # writes as a string, is refused too
+    for value in ({"a": {1, 2}}, [object()], {1: 0.5}):
+        with pytest.raises(TypeError):
+            render_json(value)
 
 
 def test_float_formatting_roundtrips_exactly():

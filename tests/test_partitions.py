@@ -152,7 +152,7 @@ def test_weights_at_makes_at_most_four_interval_tests_per_axis(monkeypatch, x):
     monkeypatch.undo()
     full_scan = [k for k in fam.index_keys if _in_support(fam, k, x)]
     assert [k for k, _ in weights] == full_scan
-    assert [w for _, w in weights] == [fam.bump(k, x) for k in full_scan]
+    assert [w.hex() for _, w in weights] == [_bump_value(0.0, 8, k, x).hex() for k in full_scan]
 
 
 def test_grid_full_box_support_at_level_one():
@@ -265,6 +265,17 @@ def _in_support(fam, key, x) -> bool:
     return len(coords) == len(key) and all(fam.interval(j).contains(v) for j, v in zip(key, coords))
 
 
+def _bump_value(lo, n: int, key, x) -> float:
+    """The bump value written out: a grid tent over a box from ``lo`` is
+    1.0 times each axis's tent factor, in axis order; a Sorgenfrey tile
+    (``lo`` None) is 1.0."""
+    value = 1.0
+    if lo is not None:
+        for v, j in zip((float(v) for v in np.ravel(x)), key):
+            value *= max(0.0, 1.0 - n * abs(v - (lo + j / n)))
+    return value
+
+
 def _lookup_cases():
     for dim, ns in ((1, (3, 7, 10, 49)), (2, (3, 7)), (3, (3,))):
         scheme = grid_scheme(dim, box=(-1.0, 2.0), n_max=max(ns))
@@ -307,6 +318,51 @@ def test_candidate_lookup_matches_the_full_scan():
                 expected_cells = [expected]
             if len(fam.index_keys) <= 100:  # each cell predicate is a lookup
                 assert [k for k, member in cells.cells if member(x)] == expected_cells
+
+
+def test_weights_at_is_the_tent_product_bit_for_bit():
+    for scheme, n, points in _lookup_cases():
+        fam = scheme.family(n)
+        lo = None if scheme.space_kind == "sorgenfrey" else -1.0
+        for x in points:
+            weights = fam.weights_at(x)
+            assert [k for k, _ in weights] == fam.active_keys(x)
+            assert [w.hex() for _, w in weights] == [_bump_value(lo, n, k, x).hex() for k, _ in weights], (n, x)
+
+
+def test_a_blend_term_weighs_each_axis_hit_once(monkeypatch):
+    # a term tests at most 4 candidate intervals per axis, at most 2 of which
+    # hold the coordinate, and weighs each of those hits once
+    calls = {"contains": 0, "weight": 0}
+    contains = SupportBox.contains
+
+    def counted_contains(interval, v):
+        calls["contains"] += 1
+        return contains(interval, v)
+
+    monkeypatch.setattr(SupportBox, "contains", counted_contains)
+    f = SectionedFunction(lambda a, y: 0.5)
+    most = {}
+    for scheme, n, points in _lookup_cases():
+        fam = scheme.family(n)
+        dim = len(fam.index_keys.axes)
+
+        def counted_weight(j, v, weight=fam.weight):
+            calls["weight"] += 1
+            return weight(j, v)
+
+        monkeypatch.setattr(fam, "weight", counted_weight)
+        term = lambda_blend(f, scheme, affine_line(), n)
+        for x in points:
+            calls.update(contains=0, weight=0)
+            try:
+                term(x, 0.25)
+            except PartitionViolationError:
+                pass
+            assert calls["contains"] <= 4 * dim and calls["weight"] <= 2 * dim, (n, x, calls)
+            most[scheme.space_kind, dim] = max(most.get((scheme.space_kind, dim), 0), calls["weight"])
+    # inside a grid every axis has two hits, so the bound is reached
+    assert most == {("euclidean_grid", 1): 2, ("euclidean_grid", 2): 4, ("euclidean_grid", 3): 6, ("sorgenfrey", 1): 1}
 
 
 def test_a_blend_term_is_the_convex_combination_of_its_live_anchor_sections():
