@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 Point = "float | tuple"
 
@@ -149,32 +147,14 @@ def warped_line() -> ConnectorSpace:
     return ConnectorSpace(point_dim=1, contains=contains, connect=_with_endpoint_identities(raw))
 
 
-def _numpy_sum(w: tuple) -> float:
-    """The sum of w in numpy's order for a float64 array (pairwise
-    summation): sequential below 8 entries, 8 strided partial sums up to
-    128, and halves (the first a multiple of 8) above that.  So weights
-    renormalise to the same bits as ``w / np.sum(w)``."""
-    n = len(w)
-    if n < 8:
-        s = 0.0
-        for v in w:
-            s += v
-        return s
-    if n <= 128:
-        stop = n - n % 8
-        r = [reduce(add, w[j:stop:8]) for j in range(8)]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for v in w[stop:]:
-            s += v
-        return s
-    half = n // 2 - n // 2 % 8
-    return _numpy_sum(w[:half]) + _numpy_sum(w[half:])
-
-
 def _normalised(w: tuple) -> tuple:
     """w divided by its sum, which must be 1 within WEIGHT_ATOL; returned
-    as is when the sum is exactly 1."""
-    s = _numpy_sum(w)
+    as is when the sum is exactly 1.  The sum is ``math.fsum``'s, correctly
+    rounded, so it does not depend on the order of w."""
+    try:
+        s = math.fsum(w)
+    except (ValueError, OverflowError) as exc:  # inf - inf, or a sum beyond the floats
+        raise WeightError(f"weights have no finite sum: {exc}") from None
     if not abs(s - 1.0) <= WEIGHT_ATOL:
         raise WeightError(f"weights sum to {s!r}, not 1 within {WEIGHT_ATOL}")
     return w if s == 1.0 else tuple(v / s for v in w)

@@ -6,7 +6,9 @@ operator, an anchor scheme, and a list of (x, y) probes; the runner evaluates
 the operator's level terms along a schedule and applies the tail criterion
 against the function's own value at each probe.  Four tables, one per
 concept (``OPERATORS``, ``SCHEMES``, ``Z_SPACES``, ``X_SPACES``), drive
-parsing, running and listing; parsing builds the function, the scheme and
+parsing, running and listing; ``_parse_kind`` reads every ``scheme``,
+``z_space`` and ``x_space`` config through its kind's row, whose builder
+checks the values it reads.  Parsing builds the function, the scheme and
 the z-space once, so bad values fail as ``ConfigError`` before any run.
 JSON reports have the bytes of ``json.dumps(indent=2)``: shortest
 round-trip floats and fixed key order, so identical runs give identical bytes.
@@ -22,7 +24,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from .connectors import _coords, affine_line, affine_space, warped_line
+from .connectors import WEIGHT_ATOL, _coords, affine_line, affine_space, warped_line
 from .gallery import (
     FinSeq,
     SequentialPoint,
@@ -52,6 +54,7 @@ class ConfigError(ValueError):
 SCENARIO_KEYS = ("name", "x_space", "z_space", "function", "scheme", "operator", "probes", "schedule", "eps", "rng_seed")
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 DEFAULT_EPS = 1e-3
+NO_SCHEME = {"kind": "none"}  # the scheme config of operators that take none
 # the largest fan row, tower_tail level and reduced |p| + q of a rational y:
 # stage n of the fan's towers enumerates n rationals, and example2 counts a
 # rational's enumeration index in O(|p| + q)
@@ -124,52 +127,49 @@ REGISTRY = {
 }
 
 
-class SchemeSpec:
-    __slots__ = ("required", "optional", "build", "x_space")
-
-    def __init__(self, required: tuple, optional: tuple, build: Callable, x_space: Callable):
-        self.required = required  # config keys the kind needs
-        self.optional = optional  # further config keys it reads
-        self.build = build  # (config, n_max) -> AnchoredScheme
-        self.x_space = x_space  # config -> default x_space config
-
-
-class KindSpec:
-    __slots__ = ("keys", "build")
-
-    def __init__(self, keys: tuple, build: Callable):
-        self.keys = keys  # config keys the kind reads besides "kind"
-        self.build = build  # config -> built object
+def _grid(cfg: dict, schedule: list) -> tuple:
+    dim = cfg.get("dim")
+    _require(type(dim) is int and 1 <= dim <= MAX_DIM, f"grid scheme needs an integer 'dim' from 1 to {MAX_DIM}, got {dim!r}")
+    lo, hi = (_as_number(cfg.get(key), f"grid scheme needs a number {key!r}, got {cfg.get(key)!r}") for key in ("lo", "hi"))
+    scheme = grid_scheme(dim, (lo, hi), n_max=max(schedule))
+    # a tent rounds its node lo + j/n unless n is a power of two, and scales
+    # that rounding by n: each axis's weight sum drifts by up to about n ulps
+    limit = WEIGHT_ATOL / (2 * dim * math.ulp(max(abs(lo), abs(hi))))
+    for n in schedule:
+        _require(n & (n - 1) == 0 or n <= limit, f"grid scheme level {n} is not a power of two, and its tent weights would drift past {WEIGHT_ATOL} on a dim-{dim} grid over [{lo}, {hi}]")
+    return scheme, {"kind": "box", "dim": dim, "lo": cfg["lo"], "hi": cfg["hi"]}
 
 
-# Entries call the constructors as module globals at call time, so a wrapper
-# installed on this module sees every call.
+def _sorgenfrey(cfg: dict, schedule: list) -> tuple:
+    scheme = sorgenfrey_scheme(n_max=max(schedule), domain=_domain(cfg, "sorgenfrey scheme domain"))
+    return scheme, {"kind": "half_open_line", "domain": list(cfg.get("domain", (0.0, 1.0)))}
+
+
+# kind -> (config keys besides "kind", (config, schedule) -> (AnchoredScheme, the x_space config it covers))
 SCHEMES = {
-    "grid": SchemeSpec(
-        ("dim", "lo", "hi"),
-        (),
-        lambda cfg, n_max: grid_scheme(cfg["dim"], (cfg["lo"], cfg["hi"]), n_max=n_max),
-        lambda cfg: {"kind": "box", "dim": cfg["dim"], "lo": cfg["lo"], "hi": cfg["hi"]},
-    ),
-    "sorgenfrey": SchemeSpec(
-        (),
-        ("domain",),
-        lambda cfg, n_max: sorgenfrey_scheme(n_max=n_max, domain=_domain(cfg, "domain")),
-        lambda cfg: {"kind": "half_open_line", "domain": list(cfg.get("domain", (0.0, 1.0)))},
-    ),
+    "grid": (("dim", "lo", "hi"), _grid),
+    "sorgenfrey": (("domain",), _sorgenfrey),
 }
+
+
+def _z_dim(cfg: dict) -> int:
+    dim = cfg.get("dim", 1)
+    _require(type(dim) is int and dim == 1, f"z_space dim must be 1, got {dim!r}: every registered function is scalar-valued")
+    return dim
 
 
 def _affine_z(cfg: dict):
     # the report echoes lo and hi, so they must be finite
-    lo, hi = (_as_number(cfg.get(key, default), f"{key} must be a finite number, got {cfg.get(key)!r}") for key, default in (("lo", 0.0), ("hi", 1.0)))
-    return affine_space(lo, hi, cfg.get("dim", 1))
+    lo, hi = (_as_number(cfg.get(key, default), f"affine z_space {key} must be a finite number, got {cfg.get(key)!r}") for key, default in (("lo", 0.0), ("hi", 1.0)))
+    return affine_space(lo, hi, _z_dim(cfg))
 
 
+# kind -> (config keys, config -> ConnectorSpace).  Entries call the constructors as
+# module globals at call time, so a wrapper installed on this module sees every call.
 Z_SPACES = {
-    "line": KindSpec(("dim",), lambda cfg: affine_line(cfg.get("dim", 1))),
-    "affine": KindSpec(("lo", "hi", "dim"), _affine_z),
-    "warped": KindSpec((), lambda cfg: warped_line()),
+    "line": (("dim",), lambda cfg: affine_line(_z_dim(cfg))),
+    "affine": (("lo", "hi", "dim"), _affine_z),
+    "warped": ((), lambda cfg: warped_line()),
 }
 
 
@@ -180,11 +180,6 @@ Z_SPACES = {
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
-
-
-def _only_keys(cfg: dict, keys: tuple, what: str) -> None:
-    unknown = set(cfg) - {"kind", *keys}
-    _require(not unknown, f"unknown {what} keys {sorted(unknown)!r}")
 
 
 def _as_number(v, message: str) -> float:
@@ -265,34 +260,32 @@ def _x_box(cfg: dict):
 
 # kind -> (config keys, config -> membership predicate on parsed probe points)
 X_SPACES = {
-    "sequential_fan": KindSpec((), lambda cfg: lambda x: isinstance(x, SequentialPoint)),
-    "real_line": KindSpec((), lambda cfg: lambda x: not isinstance(x, SequentialPoint)),
-    "half_open_line": KindSpec(("domain",), _x_half_open_line),
-    "box": KindSpec(("lo", "hi", "dim"), _x_box),
+    "sequential_fan": ((), lambda cfg: lambda x: isinstance(x, SequentialPoint)),
+    "real_line": ((), lambda cfg: lambda x: not isinstance(x, SequentialPoint)),
+    "half_open_line": (("domain",), _x_half_open_line),
+    "box": (("lo", "hi", "dim"), _x_box),
 }
-
-
-def _x_space(cfg) -> Callable:
-    _require(isinstance(cfg, dict) and isinstance(cfg.get("kind"), str) and cfg["kind"] in X_SPACES, f"bad x_space {cfg!r}; kinds are {', '.join(X_SPACES)}")
-    spec = X_SPACES[cfg["kind"]]
-    _only_keys(cfg, spec.keys, f"{cfg['kind']} x_space")
-    return spec.build(cfg)
 
 
 def _build(what: str, make: Callable, *args):
     """Call a constructor, turning its argument errors into ConfigError."""
     try:
         return make(*args)
+    except ConfigError:
+        raise
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
-def _default_x_space(scheme_cfg: dict, fn_kind: str) -> dict:
-    if fn_kind == "sequential":
-        return {"kind": "sequential_fan"}
-    if scheme_cfg["kind"] in SCHEMES:
-        return SCHEMES[scheme_cfg["kind"]].x_space(scheme_cfg)
-    return {"kind": "real_line"}
+def _parse_kind(table: dict, cfg, what: str, *context):
+    """Build a ``scheme``, ``z_space`` or ``x_space`` config through its kind's
+    row in ``table``: the config must be a dict with a known ``kind`` and
+    only the keys the row reads."""
+    _require(isinstance(cfg, dict) and isinstance(cfg.get("kind"), str) and cfg["kind"] in table, f"bad {what} {cfg!r}; kinds are {', '.join(table)}")
+    keys, build = table[cfg["kind"]]
+    unknown = set(cfg) - {"kind", *keys}
+    _require(not unknown, f"unknown {cfg['kind']} {what} keys {sorted(unknown)!r}")
+    return _build(f"{cfg['kind']} {what}", build, cfg, *context)
 
 
 class Scenario:
@@ -335,26 +328,16 @@ class Scenario:
         _require(all(a < b for a, b in zip(schedule, schedule[1:])), "schedule must be strictly increasing")
         _require(len(schedule) >= TAIL_K, f"schedule needs at least {TAIL_K} levels for the tail criterion, got {len(schedule)}")
 
-        scheme_cfg = data.get("scheme", {"kind": "none"})
-        _require(isinstance(scheme_cfg, dict) and scheme_cfg.get("kind") in (*SCHEMES, "none"), f"bad scheme {scheme_cfg!r}")
-        scheme = None
+        scheme_cfg = data.get("scheme", dict(NO_SCHEME))
+        scheme, x_default = None, {"kind": "sequential_fan" if spec.kind == "sequential" else "real_line"}
         if op.needs_scheme:
-            _require(scheme_cfg["kind"] in SCHEMES, f"{operator} needs a {' or '.join(SCHEMES)} scheme")
-            scheme_spec = SCHEMES[scheme_cfg["kind"]]
-            for key in scheme_spec.required:
-                _require(key in scheme_cfg, f"{scheme_cfg['kind']} scheme needs {key!r}")
-            _only_keys(scheme_cfg, scheme_spec.required + scheme_spec.optional, f"{scheme_cfg['kind']} scheme")
-            _require(not isinstance(scheme_cfg.get("dim"), int) or scheme_cfg["dim"] <= MAX_DIM, f"grid scheme dim may be at most {MAX_DIM}")
-            scheme = _build(f"{scheme_cfg['kind']} scheme", scheme_spec.build, scheme_cfg, max(schedule))
+            _require(scheme_cfg != NO_SCHEME, f"{operator} needs a {' or '.join(SCHEMES)} scheme")
+            scheme, x_default = _parse_kind(SCHEMES, scheme_cfg, "scheme", schedule)
         else:
-            _require(scheme_cfg["kind"] == "none", f"{operator} does not take a scheme")
-            _only_keys(scheme_cfg, (), "none scheme")
+            _require(scheme_cfg == NO_SCHEME, f"{operator} does not take a scheme")
 
         z_cfg = data.get("z_space", {"kind": "line", "dim": 1})
-        _require(isinstance(z_cfg, dict) and isinstance(z_cfg.get("kind"), str) and z_cfg["kind"] in Z_SPACES, f"bad z_space {z_cfg!r}")
-        _only_keys(z_cfg, Z_SPACES[z_cfg["kind"]].keys, f"{z_cfg['kind']} z_space")
-        z_space = _build(f"{z_cfg['kind']} z_space", Z_SPACES[z_cfg["kind"]].build, z_cfg)
-        _require(z_space.point_dim == 1, f"z_space dim must be 1, got {z_space.point_dim}: every registered function is scalar-valued")
+        z_space = _parse_kind(Z_SPACES, z_cfg, "z_space")
 
         eps = data.get("eps", DEFAULT_EPS)
         eps = _as_number(eps, f"eps must be a finite number, got {eps!r}")
@@ -364,9 +347,8 @@ class Scenario:
         _require(isinstance(rng_seed, int) and not isinstance(rng_seed, bool), "rng_seed must be an integer")
 
         # an explicit x_space narrows the default (the scheme's domain), never widens it
-        x_default = _default_x_space(scheme_cfg, spec.kind)
         x_cfg = data.get("x_space") or x_default
-        domains = [_x_space(x_cfg)] + ([_x_space(x_default)] if x_cfg != x_default else [])
+        domains = [_parse_kind(X_SPACES, cfg, "x_space") for cfg in ([x_cfg] if x_cfg == x_default else [x_cfg, x_default])]
 
         probes_raw = data["probes"]
         _require(isinstance(probes_raw, list), "probes must be a list")

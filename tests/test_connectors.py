@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,9 +222,9 @@ def test_contraction_endpoints():
     assert contract_eval(c2, z, 1.0) is star
 
 
-def test_renormalised_weights_match_numpy_bit_for_bit():
-    # numpy sums 8 or more entries pairwise, so a plain left-to-right sum
-    # moves a renormalised weight by an ulp in about a third of 8-entry cases
+def test_renormalised_weights_are_divided_by_the_exact_sum():
+    # the sum is correctly rounded, so it is the float nearest the exact
+    # rational sum whatever the length or order of the weights
     rng = np.random.default_rng(67)
     atol = 1e-9  # WEIGHT_ATOL
     for n in range(1, 301):
@@ -235,15 +236,19 @@ def test_renormalised_weights_match_numpy_bit_for_bit():
             w[tiny] = rng.uniform(0.1e-9, 2e-9, size=int(tiny.sum()))
             if not w.any():
                 w[0] = 1.0
-            w = w / np.sum(w) * scale
-            expected = np.asarray(w) / np.sum(w)
-            if abs(float(np.sum(w)) - 1.0) > atol:
+            w = (w / np.sum(w) * scale).tolist()
+            s = float(sum(map(Fraction, w)))
+            if abs(s - 1.0) > atol:
                 with pytest.raises(WeightError):
                     _clean_weights(w)
                 continue
-            got = _clean_weights(w)
-            assert len(got) == n
-            assert _bits(got) == _bits(expected), n
+            assert _bits(_clean_weights(w)) == _bits([v / s for v in w]), n
+
+
+@pytest.mark.parametrize("weights", [(math.inf, -math.inf), (1e308, 1e308), (0.5, math.nan), (math.nan, 1.0)])
+def test_weights_without_a_finite_sum_are_a_weight_error(weights):
+    with pytest.raises(WeightError):
+        lambda_sum(affine_line(1), [0.0, 1.0], weights)
 
 
 def _warped_reference(x: float, y: float, t: float) -> float:

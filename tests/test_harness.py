@@ -30,6 +30,8 @@ from equiblend.harness import (
     OPERATORS,
     REGISTRY,
     SCHEMES,
+    X_SPACES,
+    Z_SPACES,
     Scenario,
     load_scenario_file,
     render_csv,
@@ -214,6 +216,37 @@ def test_grid_dim_at_the_bound_parses():
     # one more is a MALFORMED case
     sc = Scenario.from_dict(_minimal_dict(scheme={"kind": "grid", "dim": MAX_DIM, "lo": 0.0, "hi": 1.0}, probes=[]))
     assert sc.config["scheme"]["dim"] == MAX_DIM
+
+
+def test_a_string_grid_lo_names_the_grid_scheme():
+    with pytest.raises(ConfigError, match="^grid scheme needs a number 'lo', got '-1'$"):
+        Scenario.from_dict(_minimal_dict(scheme={"kind": "grid", "dim": 1, "lo": "-1", "hi": 1.0}))
+
+
+KIND_ROWS = [("scheme", kind) for kind in SCHEMES] + [("z_space", kind) for kind in Z_SPACES] + [("x_space", kind) for kind in X_SPACES]
+
+
+@pytest.mark.parametrize("broken", ["unknown_key", "not_a_dict"])
+@pytest.mark.parametrize("what, kind", KIND_ROWS)
+def test_every_kind_row_rejects_unknown_keys_and_non_dicts(what, kind, broken):
+    cfg = {"kind": kind, "colour": "red"} if broken == "unknown_key" else [kind]
+    with pytest.raises(ConfigError) as info:
+        Scenario.from_dict(_minimal_dict(**{what: cfg}))
+    expected = f"unknown {kind} {what} keys ['colour']" if broken == "unknown_key" else f"bad {what} [{kind!r}]; kinds are "
+    assert str(info.value).startswith(expected)
+    assert not isinstance(info.value.__cause__, ConfigError)
+
+
+def test_a_grid_level_of_a_million_parses_and_passes():
+    # not a power of two, but its tents' node rounding stays within the weight tolerance on [-1, 1]
+    xs = [-1.0, 1.0, 0.3, math.nextafter(0.3, 1.0), 1 / 3, 0.0, 1e-7, -0.999999]
+    data = _minimal_dict(
+        function="sine_sum",
+        scheme={"kind": "grid", "dim": 1, "lo": -1.0, "hi": 1.0},
+        probes=[{"x": x, "y": 0.5} for x in xs],
+        schedule=[256, 512, 10**6],
+    )
+    assert report_data(run_scenario(Scenario.from_dict(data)))["summary"]["all_passed"]
 
 
 def test_schedule_must_increase():
@@ -638,6 +671,9 @@ def test_cli_suite_reruns_byte_identical(tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
+# a non-dyadic level's tents round their nodes, so their weight sum drifts
+# past the tolerance at large levels
+SINE_ON_PM1 = {"function": "sine_sum", "scheme": {"kind": "grid", "dim": 1, "lo": -1.0, "hi": 1.0}, "probes": [{"x": 0.3, "y": 0.5}]}
 MALFORMED = {
     "affine_z_lo_above_hi": {"z_space": {"kind": "affine", "lo": 1.0, "hi": 0.0}},
     "sorgenfrey_domain_not_numbers": {"scheme": {"kind": "sorgenfrey", "domain": [0.0, "x"]}},
@@ -695,6 +731,19 @@ MALFORMED = {
     "fan_leaf_row_above_the_bound": {**FAN, "probes": [{"x": {"sequential": ["leaf", MAX_STAGE + 1, 2**50]}, "y": 0.5}]},
     "fan_tower_level_huge": {**FAN, "probes": [{"x": {"sequential": ["origin"]}, "y": 0.5}], "schedule": [1, 2, 10**400]},
     "tower_tail_without_an_anchor_tower": {"function": "product", "operator": "tower_tail", "scheme": {"kind": "none"}},
+    "grid_lo_a_numeric_string": {"scheme": {"kind": "grid", "dim": 1, "lo": "0.5", "hi": 1.0}},
+    "grid_hi_a_bool": {"scheme": {"kind": "grid", "dim": 1, "lo": 0.0, "hi": True}},
+    "grid_without_dim": {"scheme": {"kind": "grid", "lo": 0.0, "hi": 1.0}},
+    "z_dim_a_float_one": {"z_space": {"kind": "line", "dim": 1.0}},
+    "grid_level_3_to_the_30": {**SINE_ON_PM1, "schedule": [1, 2, 3**30]},
+    "grid_level_10_to_the_15_plus_1": {**SINE_ON_PM1, "schedule": [1, 2, 10**15 + 1]},
+    "grid_level_7_to_the_18": {**SINE_ON_PM1, "schedule": [1, 2, 7**18]},
+    "dim2_grid_level_3_to_the_30": {
+        "scheme": {"kind": "grid", "dim": 2, "lo": -1.0, "hi": 1.0},
+        "probes": [{"x": [0.3, -0.2], "y": 0.5}],
+        "schedule": [1, 2, 3**30],
+    },
+    "anchor_grid_level_3_to_the_30": {**SINE_ON_PM1, "operator": "piecewise_anchor", "schedule": [1, 2, 3**30]},
 }
 
 
