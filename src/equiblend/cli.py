@@ -8,6 +8,7 @@ Exit codes: 0 all probes passed, 1 some probe failed the tail criterion,
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -120,6 +121,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # the interpreter's exit-time collection then skips every live object
+        # (the OS takes the memory back); frozen objects are never finalized,
+        # so every file the CLI writes is closed before this point
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import gc
 import importlib
 import json
 import math
@@ -11,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import equiblend
+from equiblend.cli import main
 from equiblend.gallery import SequentialPoint
 from equiblend.harness import (
     ConfigError,
@@ -582,6 +585,45 @@ def test_cli_non_finite_eps_is_a_config_error(value):
     assert out.returncode == 2
     assert out.stderr.startswith("config error:")
     assert len(out.stderr.splitlines()) == 1
+
+
+def test_cli_main_freezes_the_heap_and_leaves_collection_on(capsys, monkeypatch):
+    # main freezes what is alive as it returns, so the exit-time collection
+    # skips it; objects made afterwards are still collected
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)  # restored after main sets it
+
+    class Node:
+        pass
+
+    frozen = gc.get_freeze_count()
+    try:
+        assert main(["list"]) == 0
+        assert gc.isenabled()
+        assert gc.get_freeze_count() > frozen
+        node = Node()
+        node.cycle = node
+        ref = weakref.ref(node)
+        del node
+        gc.collect()
+        assert ref() is None
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out.startswith("functions:\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command, target", [("run", "blend_constant.json"), ("suite", "")])
+def test_cli_exit_loses_no_output(tmp_path, command, target, fmt):
+    # objects frozen by main are never finalized, so a writer left open at
+    # exit would drop its buffer: stdout and --out must carry the same bytes
+    argv = [sys.executable, "-m", "equiblend.cli", command, str(SCENARIO_DIR / target), "--format", fmt]
+    out = tmp_path / f"report.{fmt}"
+    printed = subprocess.run(argv, capture_output=True, cwd=str(SCENARIO_DIR.parent))
+    written = subprocess.run([*argv, "--out", str(out)], capture_output=True, cwd=str(SCENARIO_DIR.parent))
+    assert printed.returncode == written.returncode == 0, printed.stderr
+    assert printed.stdout
+    assert written.stdout == b""
+    assert out.read_bytes() == printed.stdout
 
 
 def test_cli_import_leaves_typing_unloaded():
