@@ -529,13 +529,6 @@ def example2_eval(x: FinSeq, y, n_terms_cap: int = 64) -> float:
     return total
 
 
-def example2_function() -> SectionedFunction:
-    def regularity(x):
-        return dirichlet_tower() if x.is_zero else None
-
-    return SectionedFunction(eval=example2_eval, anchor_regularity=regularity)
-
-
 def slice_modulus(y, deltas: Sequence[float]) -> tuple:
     """Oscillation of x -> f(x, y) near the zero sequence along the first
     coordinate slice: for each delta, the largest |f(t e1, y) - f(0, y)|

@@ -4,12 +4,13 @@ byte-stable reports.
 A scenario names a registered two-variable function, an approximation
 operator, an anchor scheme, and a list of (x, y) probes; the runner evaluates
 the operator's level terms along a schedule and applies the tail criterion
-against the function's own value at each probe.  Four tables, one per
-concept (``OPERATORS``, ``SCHEMES``, ``Z_SPACES``, ``X_SPACES``), drive
-parsing, running and listing; ``_parse_kind`` reads every ``scheme``,
-``z_space`` and ``x_space`` config through its kind's row, whose builder
-checks the values it reads.  Parsing builds the function, the scheme and
-the z-space once, so bad values fail as ``ConfigError`` before any run.
+against the function's own value at each probe.  Three tables, one per
+concept (``OPERATORS``, ``SCHEMES``, ``Z_SPACES``), drive parsing, running
+and listing; ``_parse_kind`` reads every ``scheme`` and ``z_space`` config
+through its kind's row, whose builder checks the values it reads.  A scheme
+row also gives the ``x_space`` the scheme covers and its probe membership
+test.  Parsing builds the function, the scheme and the z-space once, so bad
+values fail as ``ConfigError`` before any run.
 JSON reports have the bytes of ``json.dumps(indent=2)``: shortest
 round-trip floats and fixed key order, so identical runs give identical bytes.
 """
@@ -26,13 +27,11 @@ from json.encoder import encode_basestring_ascii
 
 from .connectors import WEIGHT_ATOL, _coords, affine_line, affine_space, warped_line
 from .gallery import (
-    FinSeq,
     SequentialPoint,
     TaggedReal,
     as_float,
     collapsing_instance,
     example1_function,
-    example2_function,
     half_line_instance,
 )
 from .operators import (
@@ -56,8 +55,8 @@ DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 DEFAULT_EPS = 1e-3
 NO_SCHEME = {"kind": "none"}  # the scheme config of operators that take none
 # the largest fan row, tower_tail level and reduced |p| + q of a rational y:
-# stage n of the fan's towers enumerates n rationals, and example2 counts a
-# rational's enumeration index in O(|p| + q)
+# stage n of the fan's towers enumerates n rationals; the rational bound is
+# a plain input limit, as no registered function's cost grows with |p| + q
 MAX_STAGE = 2**20
 # the largest grid dim: a point lies in up to 2^dim supports, so a probe
 # holds 2^dim live keys per level (dim 14, one probe: 141 MB on a 2-core host)
@@ -81,10 +80,6 @@ def _constant_function() -> SectionedFunction:
     return SectionedFunction(lambda x, y: 0.5)
 
 
-def _product_function() -> SectionedFunction:
-    return SectionedFunction(lambda x, y: float(x) * as_float(y))
-
-
 def _bilinear_ratio(x, y) -> float:
     x = float(x)
     v = as_float(y)
@@ -106,23 +101,12 @@ def _collapsing_function() -> SectionedFunction:
     return SectionedFunction(collapsing_instance())
 
 
-def _head_sequence_function() -> SectionedFunction:
-    # scalar x enters as the first coordinate of a finitely-supported sequence
-    seq = example2_function()
-    return SectionedFunction(
-        eval=lambda x, y: seq.eval(FinSeq.from_list([float(x)]), y),
-        anchor_regularity=lambda x: seq.tower_at(FinSeq.from_list([float(x)])),
-    )
-
-
 REGISTRY = {
     "constant": FunctionSpec("pointwise", _constant_function, "constant 0.5", scalar_x=False),
-    "product": FunctionSpec("pointwise", _product_function, "x * y on the line"),
     "bilinear_ratio": FunctionSpec("pointwise", lambda: SectionedFunction(_bilinear_ratio), "2xy/(x^2+y^2), 0 at the origin"),
     "sine_sum": FunctionSpec("pointwise", _sine_sum_function, "sin(x + y)"),
     "collapsing_bump": FunctionSpec("pointwise", _collapsing_function, "collapsing bump on [-1, 1]"),
     "example1": FunctionSpec("sequential", example1_function, "spike towers on the sequential fan"),
-    "example2": FunctionSpec("pointwise", _head_sequence_function, "nested-shell bump sum, scalar head coordinate"),
     "half_line_split": FunctionSpec("ambiguous", half_line_instance, "two-cell glued limit on the line"),
 }
 
@@ -137,15 +121,16 @@ def _grid(cfg: dict, schedule: list) -> tuple:
     limit = WEIGHT_ATOL / (2 * dim * math.ulp(max(abs(lo), abs(hi))))
     for n in schedule:
         _require(n & (n - 1) == 0 or n <= limit, f"grid scheme level {n} is not a power of two, and its tent weights would drift past {WEIGHT_ATOL} on a dim-{dim} grid over [{lo}, {hi}]")
-    return scheme, {"kind": "box", "dim": dim, "lo": cfg["lo"], "hi": cfg["hi"]}
+    return scheme, {"kind": "box", "dim": dim, "lo": cfg["lo"], "hi": cfg["hi"]}, lambda x: len(c := _coords(x)) == dim and all(lo <= v <= hi for v in c)
 
 
 def _sorgenfrey(cfg: dict, schedule: list) -> tuple:
-    scheme = sorgenfrey_scheme(n_max=max(schedule), domain=_domain(cfg, "sorgenfrey scheme domain"))
-    return scheme, {"kind": "half_open_line", "domain": list(cfg.get("domain", (0.0, 1.0)))}
+    lo, hi = domain = _domain(cfg, "sorgenfrey scheme domain")
+    scheme = sorgenfrey_scheme(n_max=max(schedule), domain=domain)
+    return scheme, {"kind": "half_open_line", "domain": list(cfg.get("domain", (0.0, 1.0)))}, lambda x: isinstance(x, float) and lo <= x < hi
 
 
-# kind -> (config keys besides "kind", (config, schedule) -> (AnchoredScheme, the x_space config it covers))
+# kind -> (config keys besides "kind", (config, schedule) -> (AnchoredScheme, the x_space config it covers, parsed x -> in it))
 SCHEMES = {
     "grid": (("dim", "lo", "hi"), _grid),
     "sorgenfrey": (("domain",), _sorgenfrey),
@@ -239,34 +224,6 @@ def _domain(cfg: dict, what: str) -> tuple:
     return tuple(_as_number(v, f"{what} must be numbers, got {domain!r}") for v in domain)
 
 
-def _x_half_open_line(cfg: dict):
-    lo, hi = _domain(cfg, "half_open_line domain")
-    return lambda x: isinstance(x, float) and lo <= x < hi
-
-
-def _x_box(cfg: dict):
-    lo, hi = (_as_number(cfg.get(key), f"box x_space needs a number {key!r}, got {cfg.get(key)!r}") for key in ("lo", "hi"))
-    dim = cfg.get("dim", 1)
-    _require(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1, f"box x_space dim must be a positive integer, got {dim!r}")
-
-    def contains(x) -> bool:
-        if isinstance(x, SequentialPoint):
-            return False
-        coords = _coords(x)
-        return len(coords) == dim and all(lo <= v <= hi for v in coords)
-
-    return contains
-
-
-# kind -> (config keys, config -> membership predicate on parsed probe points)
-X_SPACES = {
-    "sequential_fan": ((), lambda cfg: lambda x: isinstance(x, SequentialPoint)),
-    "real_line": ((), lambda cfg: lambda x: not isinstance(x, SequentialPoint)),
-    "half_open_line": (("domain",), _x_half_open_line),
-    "box": (("lo", "hi", "dim"), _x_box),
-}
-
-
 def _build(what: str, make: Callable, *args):
     """Call a constructor, turning its argument errors into ConfigError."""
     try:
@@ -278,8 +235,8 @@ def _build(what: str, make: Callable, *args):
 
 
 def _parse_kind(table: dict, cfg, what: str, *context):
-    """Build a ``scheme``, ``z_space`` or ``x_space`` config through its kind's
-    row in ``table``: the config must be a dict with a known ``kind`` and
+    """Build a ``scheme`` or ``z_space`` config through its kind's row in
+    ``table``: the config must be a dict with a known ``kind`` and
     only the keys the row reads."""
     _require(isinstance(cfg, dict) and isinstance(cfg.get("kind"), str) and cfg["kind"] in table, f"bad {what} {cfg!r}; kinds are {', '.join(table)}")
     keys, build = table[cfg["kind"]]
@@ -329,10 +286,11 @@ class Scenario:
         _require(len(schedule) >= TAIL_K, f"schedule needs at least {TAIL_K} levels for the tail criterion, got {len(schedule)}")
 
         scheme_cfg = data.get("scheme", dict(NO_SCHEME))
-        scheme, x_default = None, {"kind": "sequential_fan" if spec.kind == "sequential" else "real_line"}
+        # without a scheme, _parse_x decides sequential against plain x
+        scheme, x_default, contains = None, {"kind": "sequential_fan" if spec.kind == "sequential" else "real_line"}, None
         if op.needs_scheme:
             _require(scheme_cfg != NO_SCHEME, f"{operator} needs a {' or '.join(SCHEMES)} scheme")
-            scheme, x_default = _parse_kind(SCHEMES, scheme_cfg, "scheme", schedule)
+            scheme, x_default, contains = _parse_kind(SCHEMES, scheme_cfg, "scheme", schedule)
         else:
             _require(scheme_cfg == NO_SCHEME, f"{operator} does not take a scheme")
 
@@ -346,9 +304,10 @@ class Scenario:
         rng_seed = data.get("rng_seed", 0)
         _require(isinstance(rng_seed, int) and not isinstance(rng_seed, bool), "rng_seed must be an integer")
 
-        # an explicit x_space narrows the default (the scheme's domain), never widens it
-        x_cfg = data.get("x_space") or x_default
-        domains = [_parse_kind(X_SPACES, cfg, "x_space") for cfg in ([x_cfg] if x_cfg == x_default else [x_cfg, x_default])]
+        # the scheme decides x; an explicit x_space, echoed as given, must be the same JSON (true is not 1)
+        x_cfg = data.get("x_space", x_default)
+        same = x_cfg == x_default and json.dumps(x_cfg, sort_keys=True, default=repr) == json.dumps(x_default, sort_keys=True)
+        _require(same, f"x_space {x_cfg!r} is not {x_default!r}, the space the scheme decides")
 
         probes_raw = data["probes"]
         _require(isinstance(probes_raw, list), "probes must be a list")
@@ -356,14 +315,12 @@ class Scenario:
         for index, probe in enumerate(probes_raw):
             _require(isinstance(probe, dict) and set(probe) == {"x", "y"}, f"probe {index} must be an object with keys x and y")
             x = _parse_x(probe["x"], spec.kind)
-            _require(all(contains(x) for contains in domains), f"probe {index}: x {probe['x']!r} lies outside the x_space or the scheme's domain")
+            _require(contains is None or contains(x), f"probe {index}: x {probe['x']!r} lies outside the scheme's domain")
             _require(not isinstance(x, tuple) or not spec.scalar_x, f"probe {index}: {fn_name} takes a scalar x, not {probe['x']!r}")
             parsed.append((x, _parse_y(probe["y"])))
         function = spec.make()
         if operator == "tower_tail":
             _require(schedule[-1] <= MAX_STAGE, f"tower_tail schedule levels may be at most {MAX_STAGE}")
-            for index, (x, _) in enumerate(parsed):
-                _require(function.tower_at(x) is not None, f"probe {index}: {fn_name} has no anchor tower at {probes_raw[index]['x']!r}")
         if spec.kind == "ambiguous":
             # the limit is defined only where some cell's core captures x
             target = function.target()
@@ -456,7 +413,7 @@ OPERATORS = {
         lambda s: _run_levels(s, lambda n: piecewise_anchor(s.function, s.scheme, n), s.function.eval),
     ),
     "ambiguous_limit": OperatorSpec(("ambiguous",), False, lambda s: _run_levels(s, s.function.term, s.function.target())),
-    "tower_tail": OperatorSpec(("pointwise", "sequential"), False, _run_towers),
+    "tower_tail": OperatorSpec(("sequential",), False, _run_towers),
 }
 
 

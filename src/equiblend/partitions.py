@@ -73,6 +73,9 @@ class _KeyView:
     def __len__(self) -> int:
         return math.prod(map(len, self.axes))
 
+    def __bool__(self) -> bool:  # len() refuses a count above sys.maxsize
+        return all(self.axes)
+
     def __iter__(self):
         return itertools.product(*self.axes)
 
@@ -367,7 +370,7 @@ def disjointify(cover: Collection, first_of=None) -> CoverCellPartition:
     points of set k not claimed by any earlier set.  The cover is its keys
     with ``first_of(x)``, which lists in key order the keys of the sets
     holding x, or, without ``first_of``, (key, membership predicate) pairs."""
-    if not len(cover):
+    if not cover:
         raise CoverError("cover is empty")
     if first_of is None:
         items = [(_as_key(key), member) for key, member in cover]

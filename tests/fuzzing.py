@@ -8,7 +8,7 @@ import math
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from equiblend.harness import MAX_DIM, MAX_STAGE, OPERATORS, REGISTRY, SCENARIO_KEYS, SCHEMES, X_SPACES, Z_SPACES
+from equiblend.harness import MAX_DIM, MAX_STAGE, OPERATORS, REGISTRY, SCENARIO_KEYS, SCHEMES, Z_SPACES
 
 # database=None: hypothesis writes no example database into the checkout
 FUZZ = settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -16,8 +16,9 @@ FUZZ = settings(max_examples=100, derandomize=True, database=None, deadline=None
 # json.load accepts NaN and Infinity, so the floats include them
 _EDGES = [0, 1, -1, 2, MAX_DIM, MAX_DIM + 1, MAX_STAGE, MAX_STAGE + 1, 2**52, 10**18, 10**400, -0.0, 0.5, 1e-300, 1e300, math.nan, math.inf, -math.inf]
 # the names the parser reads, so that generated objects reach past its first checks
-_WORDS = [*SCENARIO_KEYS, *REGISTRY, *OPERATORS, *SCHEMES, *Z_SPACES, *X_SPACES, "none", "kind", "dim", "lo", "hi", "domain", "x", "y"]
+_WORDS = [*SCENARIO_KEYS, *REGISTRY, *OPERATORS, *SCHEMES, *Z_SPACES, "none", "kind", "dim", "lo", "hi", "domain", "x", "y"]
 _WORDS += ["rational", "irrational", "sequential", "origin", "level", "leaf"]
+_WORDS += ["sequential_fan", "real_line", "half_open_line", "box"]  # the x_space kinds a scheme derives
 
 scalars = (
     st.none()

@@ -25,7 +25,6 @@ from equiblend.gallery import (
     example1_eval,
     example1_function,
     example2_eval,
-    example2_function,
     half_line_instance,
     in_amplitude_ball,
     in_core,
@@ -480,7 +479,6 @@ def test_example2_tiny_amplitudes_evaluate_in_closed_form():
 
 
 def test_slice_modulus_vanishes_at_irrational_sections():
-    f = example2_function()
     y = TaggedReal.irrational(np.sqrt(2))
     vals = slice_modulus(y, deltas=(1e-2, 1e-3, 1e-4))
     assert vals == (0.0, 0.0, 0.0)
@@ -505,12 +503,6 @@ def test_slice_modulus_at_lead_rational_is_flat():
     # which plateaus at 1 on the whole unit amplitude window
     vals = slice_modulus(TaggedReal.rational(0), deltas=(1.0, 0.5))
     assert vals == (0.0, 0.0)
-
-
-def test_example2_function_tower_location():
-    f = example2_function()
-    assert f.tower_at(FinSeq.zero()) is not None
-    assert f.tower_at(FinSeq.from_list([0.3])) is None
 
 
 # ------------------------------------------------------------- sequential fan

@@ -33,7 +33,6 @@ from equiblend.harness import (
     OPERATORS,
     REGISTRY,
     SCHEMES,
-    X_SPACES,
     Z_SPACES,
     Scenario,
     load_scenario_file,
@@ -140,11 +139,10 @@ ACCEPTED_COMBINATIONS = {
     ("lambda_blend", "pointwise", True),
     ("piecewise_anchor", "pointwise", True),
     ("ambiguous_limit", "ambiguous", False),
-    ("tower_tail", "pointwise", False),
     ("tower_tail", "sequential", False),
 }
 FUNCTION_OF_KIND = {
-    "pointwise": ("example2", 0.0),
+    "pointwise": ("sine_sum", 0.0),
     "sequential": ("example1", {"sequential": ["origin"]}),
     "ambiguous": ("half_line_split", 0.0),
 }
@@ -209,9 +207,11 @@ def test_rational_probe_validation():
 
 
 def test_rational_y_at_the_bound_runs():
-    # reduced, |p| + q is MAX_STAGE; one more is a MALFORMED case
+    # reduced, |p| + q is MAX_STAGE; one more is a MALFORMED case.  x = 0.5
+    # is a node of every level here, so each term is its anchor's section
     y = {"rational": [2 * (MAX_STAGE - 1), 2]}
-    report = report_data(run_scenario(Scenario.from_dict(_minimal_dict(function="product", probes=[{"x": 0.5, "y": y}]))))
+    data = _minimal_dict(function="sine_sum", probes=[{"x": 0.5, "y": y}], schedule=[2, 4, 8])
+    report = report_data(run_scenario(Scenario.from_dict(data)))
     assert report["summary"]["all_passed"]
 
 
@@ -226,7 +226,7 @@ def test_a_string_grid_lo_names_the_grid_scheme():
         Scenario.from_dict(_minimal_dict(scheme={"kind": "grid", "dim": 1, "lo": "-1", "hi": 1.0}))
 
 
-KIND_ROWS = [("scheme", kind) for kind in SCHEMES] + [("z_space", kind) for kind in Z_SPACES] + [("x_space", kind) for kind in X_SPACES]
+KIND_ROWS = [("scheme", kind) for kind in SCHEMES] + [("z_space", kind) for kind in Z_SPACES]
 
 
 @pytest.mark.parametrize("broken", ["unknown_key", "not_a_dict"])
@@ -279,53 +279,6 @@ def test_constant_blend_runs_exact():
     assert rec.target == 0.5
     assert rec.terms == (0.5, 0.5, 0.5)
     assert rec.final_gap == 0.0
-
-
-def test_product_blend_reproduces_linear_sections():
-    sc = Scenario.from_dict(
-        _minimal_dict(
-            function="product",
-            probes=[{"x": 0.3, "y": 0.8}, {"x": 0.77, "y": -0.4}],
-            schedule=[1, 2, 4, 8],
-            eps=1e-9,
-        )
-    )
-    rep = run_scenario(sc)
-    assert rep.summary["all_passed"]
-
-
-def test_tower_tail_scenario_at_the_anchor_point():
-    sc = Scenario.from_dict(
-        {
-            "name": "tt",
-            "function": "example2",
-            "operator": "tower_tail",
-            "probes": [
-                {"x": 0.0, "y": {"rational": [1, 2]}},
-                {"x": 0.0, "y": {"irrational": 2.718281828459045}},
-            ],
-            "schedule": [1, 2, 4, 8, 16],
-            "eps": 0.0,
-        }
-    )
-    rep = run_scenario(sc)
-    assert rep.summary["all_passed"]
-    assert rep.records[0].target == 1.0
-    assert rep.records[1].target == 0.0
-
-
-def test_tower_tail_needs_a_regularity_anchor():
-    # found at parse time, before any scenario of a suite runs
-    with pytest.raises(ConfigError, match="no anchor tower"):
-        Scenario.from_dict(
-            {
-                "name": "tt_off",
-                "function": "example2",
-                "operator": "tower_tail",
-                "probes": [{"x": 0.3, "y": 0.0}],
-                "schedule": [1, 2, 4],
-            }
-        )
 
 
 def test_tower_tail_levels_are_bounded():
@@ -505,7 +458,7 @@ def test_empty_probe_list_yields_a_vacuous_report():
 
 def test_csv_and_json_agree_numerically():
     sc = Scenario.from_dict(
-        _minimal_dict(function="product", probes=[{"x": 0.3, "y": 0.7}, {"x": 0.6, "y": 0.1}])
+        _minimal_dict(function="sine_sum", probes=[{"x": 0.3, "y": 0.7}, {"x": 0.6, "y": 0.1}])
     )
     rep = run_scenario(sc)
     back = json.loads(render_json(report_data(rep)))
@@ -727,7 +680,7 @@ MALFORMED = {
     "z_dim_not_a_number": {"z_space": {"kind": "line", "dim": "x"}},
     "z_dim_two": {"z_space": {"kind": "line", "dim": 2}},
     "scalar_function_on_dim2_grid": {
-        "function": "product",
+        "function": "sine_sum",
         "scheme": {"kind": "grid", "dim": 2, "lo": 0.0, "hi": 1.0},
         "probes": [{"x": [0.25, 0.5], "y": 0.5}],
     },
@@ -738,7 +691,7 @@ MALFORMED = {
     "grid_dim_above_the_bound": {"scheme": {"kind": "grid", "dim": MAX_DIM + 1, "lo": 0.0, "hi": 1.0}, "probes": []},
     "z_dim_not_an_integer": {"z_space": {"kind": "line", "dim": 1.5}},
     "schedule_shorter_than_the_tail": {"schedule": [1, 2]},
-    "scalar_function_with_list_x": {"function": "product", "probes": [{"x": [0.5], "y": 0.5}]},
+    "scalar_function_with_list_x": {"function": "sine_sum", "probes": [{"x": [0.5], "y": 0.5}]},
     "ambiguous_probe_no_core_captures": {
         "function": "half_line_split",
         "operator": "ambiguous_limit",
@@ -772,7 +725,8 @@ MALFORMED = {
     "fan_leaf_beyond_the_floats": {**FAN, "probes": [{"x": {"sequential": ["leaf", 3, 10**400]}, "y": 0.5}]},
     "fan_leaf_row_above_the_bound": {**FAN, "probes": [{"x": {"sequential": ["leaf", MAX_STAGE + 1, 2**50]}, "y": 0.5}]},
     "fan_tower_level_huge": {**FAN, "probes": [{"x": {"sequential": ["origin"]}, "y": 0.5}], "schedule": [1, 2, 10**400]},
-    "tower_tail_without_an_anchor_tower": {"function": "product", "operator": "tower_tail", "scheme": {"kind": "none"}},
+    # tower_tail takes only sequential functions, so this is a kind mismatch
+    "tower_tail_without_an_anchor_tower": {"function": "sine_sum", "operator": "tower_tail", "scheme": {"kind": "none"}},
     "grid_lo_a_numeric_string": {"scheme": {"kind": "grid", "dim": 1, "lo": "0.5", "hi": 1.0}},
     "grid_hi_a_bool": {"scheme": {"kind": "grid", "dim": 1, "lo": 0.0, "hi": True}},
     "grid_without_dim": {"scheme": {"kind": "grid", "lo": 0.0, "hi": 1.0}},
@@ -848,20 +802,50 @@ def test_readme_names_every_flag_of_run_and_suite():
     assert flags == set(re.findall(r"--[a-z][a-z-]*", section))
 
 
-def test_cli_example2_at_a_large_rational_y(tmp_path):
-    # y = 10000 is enumerated past level 10000, where every anchor near x
-    # = 0.5 has a zero level weight, so no enumeration prefix is listed
+DERIVED_X_SPACES = {
+    "box": ({"scheme": {"kind": "grid", "dim": 1, "lo": 0.0, "hi": 1.0}}, {"kind": "box", "dim": 1, "lo": 0.0, "hi": 1.0}),
+    "half_open_line": ({"scheme": {"kind": "sorgenfrey", "domain": [0.0, 1.0]}}, {"kind": "half_open_line", "domain": [0.0, 1.0]}),
+    "sequential_fan": ({**FAN, "probes": [{"x": {"sequential": ["origin"]}, "y": 0.5}]}, {"kind": "sequential_fan"}),
+    "real_line": ({"function": "half_line_split", "operator": "ambiguous_limit", "scheme": {"kind": "none"}, "probes": [{"x": -0.7, "y": 0.3}], "schedule": [16, 32, 64]}, {"kind": "real_line"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DERIVED_X_SPACES))
+def test_an_explicit_x_space_must_be_the_one_the_scheme_decides(tmp_path, kind):
+    # the derived x_space is echoed byte for byte; any other, even one equal
+    # to it in Python (true == 1), is one config error line
+    base, derived = DERIVED_X_SPACES[kind]
+    outputs = []
+    for extra in ({}, {"x_space": derived}):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_minimal_dict(**base, **extra)))
+        out = _cli("run", str(path))
+        assert out.returncode == 0, out.stderr
+        outputs.append(out.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["scenario"]["x_space"] == derived
+    if kind != "box":
+        return
+    for other in ({**derived, "lo": 0.25}, {**derived, "lo": -1.0}, {**derived, "dim": True}):
+        path.write_text(json.dumps(_minimal_dict(**base, x_space=other)))
+        out = _cli("run", str(path))
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("config error: x_space")
+        assert len(out.stderr.splitlines()) == 1
+
+
+def test_cli_anchor_runs_on_a_level_of_more_than_maxsize_keys(tmp_path):
+    # dim 2 at n = 2**32 holds (2**33 + 1)**2 keys, more than len() can count
     data = _minimal_dict(
-        function="example2",
-        scheme={"kind": "grid", "dim": 1, "lo": -1.0, "hi": 1.0},
-        probes=[{"x": 0.5, "y": {"rational": [10000, 1]}}],
-        schedule=[1, 2, 4, 8, 16, 32, 64, 128, 256],
+        operator="piecewise_anchor",
+        scheme={"kind": "grid", "dim": 2, "lo": -1.0, "hi": 1.0},
+        probes=[{"x": [0.25, 0.5], "y": 0.5}],
+        schedule=[1, 2, 2**32],
     )
     path, _ = _scenario_in_suite(tmp_path, json.dumps(data).encode())
     out = _cli("run", str(path))
     assert out.returncode == 0, out.stderr
-    record = json.loads(out.stdout)["records"][0]
-    assert record["passed"] and record["target"] == 0.0 and record["terms"][-1] == 0.0
+    assert json.loads(out.stdout)["records"][0]["terms"] == [0.5, 0.5, 0.5]
 
 
 def test_the_finest_level_is_bounded_by_the_float_resolution_of_the_box():

@@ -559,6 +559,15 @@ def test_disjointify_assigns_first_containing_cell():
         part.cell_of(1.5)
 
 
+def test_disjointify_decides_emptiness_without_counting_keys():
+    # a dim-2 level at n = 2**32 holds more keys than len() can count
+    for empty in ([], partitions._KeyView((range(3), range(0)))):
+        with pytest.raises(CoverError, match="empty"):
+            disjointify(empty, lambda x: [])
+    family = grid_scheme(2, box=(-1.0, 1.0), n_max=2**32).family(2**32)
+    assert disjointify(family.index_keys, family.active_keys).cell_of((0.25, 0.5)) == (5 * 2**30, 6 * 2**30)
+
+
 def test_disjointify_random_covers():
     rng = np.random.default_rng(31)
     for _ in range(100):
