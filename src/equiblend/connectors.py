@@ -1,9 +1,9 @@
 """Connector calculus on concrete model spaces.
 
-A connector space is a point universe together with a continuous path map
-``connect(x, y, t)`` joining any two points for t in [0, 1], with exact
-endpoints and ``connect(x, x, t) == x``.  Weighted n-point combinations are
-folded through ``connect`` by a fixed left-to-right recursion.
+A connector space is a continuous path map ``connect(x, y, t)`` joining any
+two points for t in [0, 1], with exact endpoints and ``connect(x, x, t) == x``.
+Weighted n-point combinations are folded through ``connect`` by a fixed
+left-to-right recursion.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ def _norm_metric(a, b) -> float:
 # stays a dataclass: bench/spans.py calls dataclasses.replace on it
 @dataclass(frozen=True)
 class ConnectorSpace:
-    """A point universe with a two-point path map.
+    """A two-point path map on points of ``point_dim`` coordinates: all that
+    a blend needs of the space.
 
     ``connect(x, y, t)`` must return x at t=0, y at t=1 and x whenever the
     endpoints coincide; built-in constructors wrap the raw map so those
@@ -60,7 +61,6 @@ class ConnectorSpace:
     """
 
     point_dim: int
-    contains: Callable[[Point], bool]
     connect: Callable[[Point, Point, float], Point]
 
 
@@ -80,24 +80,14 @@ def _with_endpoint_identities(raw):
 
 
 def affine_space(lo, hi, dim: int = 1) -> ConnectorSpace:
-    """Straight-line connector on a closed box, (1-t)x + t y.
+    """Straight-line connector, (1-t)x + t y, named by a box.
 
-    ``lo``/``hi`` are scalars applied to every axis, infinite ones included.
-    Membership needs finite coordinates and allows 1e-9 slack for rounding
-    drift at the box faces.
+    ``lo``/``hi`` are scalars, infinite ones included, that must satisfy
+    hi > lo; they bound no point, since the path map needs no membership.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not hi > lo:
+    if not float(hi) > float(lo):
         raise ValueError("affine_space needs hi > lo")
     _check_dim(dim)
-
-    def contains(p) -> bool:
-        try:
-            coords = _coords(p)
-        except (TypeError, ValueError):  # None, or not numbers
-            return False
-        return len(coords) == dim and all(math.isfinite(v) and lo - 1e-9 <= v <= hi + 1e-9 for v in coords)
 
     def raw(x, y, t):
         if isinstance(x, (tuple, list)) or isinstance(y, (tuple, list)):
@@ -105,11 +95,11 @@ def affine_space(lo, hi, dim: int = 1) -> ConnectorSpace:
         # numbers, and arrays with their own elementwise arithmetic
         return (1.0 - t) * x + t * y
 
-    return ConnectorSpace(point_dim=dim, contains=contains, connect=_with_endpoint_identities(raw))
+    return ConnectorSpace(point_dim=dim, connect=_with_endpoint_identities(raw))
 
 
 def affine_line(dim: int = 1) -> ConnectorSpace:
-    """Unbounded straight-line connector (all finite points)."""
+    """Straight-line connector on the whole space: the box is unbounded."""
     return affine_space(-math.inf, math.inf, dim)
 
 
@@ -138,13 +128,10 @@ def warped_line() -> ConnectorSpace:
             u -= (u * u * u + u - w) / (3.0 * u * u + 1.0)
         return u
 
-    def contains(p) -> bool:
-        return isinstance(p, (int, float)) and math.isfinite(float(p))
-
     def raw(x, y, t):
         return h_inv((1.0 - t) * _h(float(x)) + t * _h(float(y)))
 
-    return ConnectorSpace(point_dim=1, contains=contains, connect=_with_endpoint_identities(raw))
+    return ConnectorSpace(point_dim=1, connect=_with_endpoint_identities(raw))
 
 
 def _normalised(w: tuple) -> tuple:
@@ -234,11 +221,3 @@ def straight_line_contraction(star=0.0) -> Contraction:
         return (1.0 - t) * z + t * star
 
     return Contraction(gamma=gamma, star=star)
-
-
-def contract_eval(c: Contraction, z, t: float) -> Point:
-    """Evaluate a contraction; t must lie in [0, 1]."""
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise WeightError(f"contraction parameter {t!r} outside [0, 1]")
-    return c.gamma(z, t)

@@ -67,8 +67,6 @@ class TaggedReal:
 def as_tagged(y) -> TaggedReal:
     if isinstance(y, TaggedReal):
         return y
-    if isinstance(y, Fraction):
-        return TaggedReal.rational(y.numerator, y.denominator)
     return TaggedReal.plain(float(y))
 
 
@@ -573,14 +571,6 @@ class SequentialPoint:
                 raise ValueError("leaves need n >= 1 and m >= n^2")
         self.kind, self.n, self.m = kind, n, m
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.n, self.m) == (other.kind, other.n, other.m)
-
-    def __hash__(self):
-        return hash((self.kind, self.n, self.m))
-
     @classmethod
     def origin(cls) -> "SequentialPoint":
         return cls("origin")
@@ -627,7 +617,7 @@ def sequential_convergence_probe(target: SequentialPoint, seq: Sequence[Sequenti
     if not pts:
         return False
     if target.kind == "leaf":
-        return all(p == target for p in pts)
+        return all((p.kind, p.n, p.m) == ("leaf", target.n, target.m) for p in pts)
     if target.kind == "level":
         last_m = 0
         for p in pts:

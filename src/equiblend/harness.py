@@ -388,7 +388,7 @@ def _run_levels(scenario: Scenario, term_at, target):
 
 
 def _run_towers(scenario: Scenario):
-    pairs = [tower_terms(scenario.function.tower_at(x), y, scenario.config["schedule"]) for x, y in scenario.probes]
+    pairs = [tower_terms(scenario.function.anchor_regularity(x), y, scenario.config["schedule"]) for x, y in scenario.probes]
     return [terms for terms, _ in pairs], [target for _, target in pairs]
 
 

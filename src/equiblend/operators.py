@@ -99,11 +99,6 @@ class SectionedFunction:
     eval: Callable
     anchor_regularity: Callable | None = None
 
-    def tower_at(self, x) -> BaireTower | None:
-        if self.anchor_regularity is None:
-            return None
-        return self.anchor_regularity(x)
-
 
 def lambda_blend(f: SectionedFunction, scheme: AnchoredScheme, z_space: ConnectorSpace, n: int):
     """Level-n blend: at (x, y), connector-sum the anchor sections

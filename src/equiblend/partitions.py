@@ -9,7 +9,6 @@ declared support and counts as exact 0.0 outside it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
@@ -65,7 +64,9 @@ class SupportBox:
 
 class _KeyView:
     """The keys of the product of the integer ranges ``axes``: their count,
-    key order (that of ``itertools.product``) and membership, never stored."""
+    truth and membership, never stored.  Key order is that of
+    ``itertools.product(*axes)``; the view is not iterable, so nothing lists
+    a level's keys, which may outnumber memory."""
 
     def __init__(self, axes: tuple):
         self.axes = axes
@@ -75,9 +76,6 @@ class _KeyView:
 
     def __bool__(self) -> bool:  # len() refuses a count above sys.maxsize
         return all(self.axes)
-
-    def __iter__(self):
-        return itertools.product(*self.axes)
 
     def __contains__(self, key) -> bool:
         return isinstance(key, tuple) and len(key) == len(self.axes) and all(type(j) is int and j in axis for j, axis in zip(key, self.axes))
@@ -354,7 +352,9 @@ class CoverCellPartition:
 
     @property
     def cells(self):
-        """(key, membership predicate) pairs, in key order, made as they are read."""
+        """(key, membership predicate) pairs, in key order, made as they are
+        read; only for a cover given by keys that iterate, such as the
+        (key, predicate) pairs of :func:`disjointify`, since level keys do not."""
         first_of = self.first_of
         return ((key, lambda x, key=key: key in first_of(x)[:1]) for key in self.keys)
 

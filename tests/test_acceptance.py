@@ -17,9 +17,7 @@ import numpy as np
 
 from equiblend.connectors import (
     affine_line,
-    contract_eval,
     convex_combination,
-    straight_line_contraction,
     warped_line,
 )
 from equiblend.gallery import (
@@ -40,8 +38,8 @@ from equiblend.gallery import (
     slice_modulus,
     truncation_index,
 )
-from equiblend.harness import Scenario, load_scenario_file, run_scenario
-from equiblend.operators import contractible_glue, tower_tail
+from equiblend.harness import load_scenario_file, run_scenario
+from equiblend.operators import tower_tail
 from equiblend.partitions import (
     SupportBox,
     disjointify,

