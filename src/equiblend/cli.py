@@ -2,16 +2,16 @@
 list what the registry offers.
 
 Exit codes: 0 all probes passed, 1 some probe failed the tail criterion,
-2 configuration error (unreadable file, bad schema, unknown names).
+2 usage or configuration error (bad argv, unreadable file, bad schema).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .harness import (
     OPERATORS,
@@ -92,32 +92,62 @@ def _cmd_list(args) -> int:
     return 0
 
 
+# command: (summary, (positional, default or None if required), {flag: converter or choices, the first the default}, handler)
+COMMANDS = {
+    "run": ("run one scenario file", ("scenario", None), {"--format": ("json", "csv"), "--out": str, "--eps": float, "--schedule": str}, _cmd_run),
+    "suite": ("run every scenario in a directory", ("directory", "scenarios"), {"--format": ("json", "csv"), "--out": str}, _cmd_suite),
+    "list": ("list registered functions, operators and schemes", (None, None), {}, _cmd_list),
+}
+USAGES = {None: "equiblend [-h] {" + ",".join(COMMANDS) + "} ..."} | {
+    command: " ".join([f"equiblend {command} [-h]", *(f"[{flag} {flag[2:].upper() if callable(kind) else '{' + ','.join(kind) + '}'}]" for flag, kind in flags.items()), *([name if default is None else f"[{name}]"] if name else [])])
+    for command, (_, (name, default), flags, _) in COMMANDS.items()
+}
+
+
+class _Stop(Exception):
+    """Ends parsing: (command or None, usage error or None for help)."""
+
+
+def _parse(argv: list):
+    """(handler, options) for ``argv`` by :data:`COMMANDS`, or :class:`_Stop`."""
+    command, *words = argv or [None]
+    if command not in COMMANDS:
+        raise _Stop(None, None if command in ("-h", "--help") else f"argument command: invalid choice: {command!r}" if command else "the following arguments are required: command")
+    _, (name, default), flags, handler = COMMANDS[command]
+    options, given, words = {flag[2:]: None if callable(kind) else kind[0] for flag, kind in flags.items()}, [], iter(words)
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if not word.startswith("-"):
+            given.append(word)
+        elif (kind := flags.get(flag)) is None:
+            raise _Stop(command, None if word in ("-h", "--help") else f"unrecognized arguments: {word}")
+        elif not eq and (value := next(words, "-")).startswith("-"):
+            raise _Stop(command, f"argument {flag}: expected one argument")
+        else:
+            try:
+                options[flag[2:]] = kind(value) if callable(kind) else kind[kind.index(value)]  # index refuses a non-choice
+            except ValueError:
+                raise _Stop(command, f"argument {flag}: invalid value: {value!r}") from None
+    options |= {name: given.pop(0) if given else default} if name else {}
+    if given or name and options[name] is None:
+        raise _Stop(command, f"unrecognized arguments: {' '.join(given)}" if given else f"the following arguments are required: {name}")
+    return handler, SimpleNamespace(**options)
+
+
 def main(argv=None) -> int:
     # read by numpy's first import (warped z-space only); idle BLAS workers only cost time
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = argparse.ArgumentParser(prog="equiblend", description="convergence scenario runner")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run one scenario file")
-    run_p.add_argument("scenario", help="path to a scenario .json file")
-    run_p.add_argument("--format", choices=("json", "csv"), default="json")
-    run_p.add_argument("--out", help="write the report here instead of stdout")
-    run_p.add_argument("--eps", type=float, help="override the tail tolerance")
-    run_p.add_argument("--schedule", help="override the level schedule, e.g. 1,2,4,8")
-    run_p.set_defaults(func=_cmd_run)
-
-    suite_p = sub.add_parser("suite", help="run every scenario in a directory")
-    suite_p.add_argument("directory", nargs="?", default="scenarios")
-    suite_p.add_argument("--format", choices=("json", "csv"), default="json")
-    suite_p.add_argument("--out", help="write the report here instead of stdout")
-    suite_p.set_defaults(func=_cmd_suite)
-
-    list_p = sub.add_parser("list", help="list registered functions, operators and schemes")
-    list_p.set_defaults(func=_cmd_list)
-
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(args)
+    except _Stop as stop:  # help, or a usage error: nothing runs
+        command, error = stop.args
+        if error:
+            sys.stderr.write(f"usage: {USAGES[command]}\nequiblend: error: {error}\n")
+            return 2
+        entries = [COMMANDS[command][0]] if command else [f"{USAGES[name]}\n    {COMMANDS[name][0]}" for name in COMMANDS]
+        sys.stdout.write("\n\n".join([f"usage: {USAGES[command]}", *entries, "A flag may come anywhere after its command, as --format csv or --format=csv.\n"]))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

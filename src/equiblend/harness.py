@@ -17,7 +17,6 @@ round-trip floats and fixed key order, so identical runs give identical bytes.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -510,6 +509,7 @@ def _cell(value) -> str:
 
 
 def render_csv(reports: Sequence[ScenarioReport]) -> str:
+    import csv  # here, not at the top: only --format csv pays for its import
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["scenario", "probe", "x", "y", "target", "passed", "final_gap", "last_term"])

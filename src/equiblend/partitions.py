@@ -352,9 +352,9 @@ class CoverCellPartition:
 
     @property
     def cells(self):
-        """(key, membership predicate) pairs, in key order, made as they are
-        read; only for a cover given by keys that iterate, such as the
-        (key, predicate) pairs of :func:`disjointify`, since level keys do not."""
+        """(key, membership predicate) pairs in key order, made as they are read."""
+        if isinstance(self.keys, _KeyView):
+            raise CoverError("a level cover's cells are not listed, since its keys may outnumber memory; use cell_of")
         first_of = self.first_of
         return ((key, lambda x, key=key: key in first_of(x)[:1]) for key in self.keys)
 

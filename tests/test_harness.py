@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import equiblend
-from equiblend.cli import main
+from equiblend.cli import COMMANDS, main
 from equiblend.harness import (
     ConfigError,
     DEFAULT_EPS,
@@ -578,14 +578,23 @@ def test_cli_exit_loses_no_output(tmp_path, command, target, fmt):
     assert out.read_bytes() == printed.stdout
 
 
-def test_cli_import_leaves_typing_unloaded():
+def test_cli_import_leaves_typing_unloaded(tmp_path):
     # under -S, because site's .pth hooks may import typing themselves: the
     # package takes its abstract bases from collections.abc and keeps its
-    # annotations as strings
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import equiblend.cli; print('typing' in sys.modules)"
-    out = subprocess.run([sys.executable, "-S", "-c", code, str(SCENARIO_DIR.parent / "src")], capture_output=True, text=True)
+    # annotations as strings.  The CLI reads argv without argparse (whose
+    # messages pull in gettext and locale), and csv loads only for --format csv
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import equiblend.cli; "
+        "loaded = lambda names: sorted(name for name in names if name in sys.modules); "
+        "print(loaded(['typing', 'argparse', 'gettext', 'locale', 'csv'])); "
+        "equiblend.cli.main(['suite', sys.argv[2], '--out', sys.argv[3]]); "
+        "print(loaded(['argparse', 'locale', 'csv']))"
+    )
+    argv = [sys.executable, "-S", "-c", code, str(SCENARIO_DIR.parent / "src"), str(SCENARIO_DIR), str(tmp_path / "suite.json")]
+    out = subprocess.run(argv, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "[]"]
+    assert (tmp_path / "suite.json").stat().st_size > 0
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -788,6 +797,87 @@ def test_cli_unwritable_out_is_one_config_error_line(tmp_path, command):
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("config error: cannot write")
     assert len(out.stderr.splitlines()) == 1
+
+
+@pytest.fixture
+def in_process_main(capsys, monkeypatch):
+    """Call ``cli.main`` here, undoing the heap freeze it makes as it
+    returns; yields (exit code, stdout, stderr)."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)  # restored after main sets it
+
+    def call(*argv):
+        try:
+            code = main(list(argv))
+        finally:
+            gc.unfreeze()
+        return (code, *capsys.readouterr())
+
+    return call
+
+
+USAGE_ERRORS = {
+    "no_command": [],
+    "unknown_command": ["bogus", "--out", "OUT"],
+    "flag_before_command": ["--out", "OUT", "suite"],
+    "unknown_flag": ["suite", "scenarios", "--out", "OUT", "--bogus", "1"],
+    "abbreviated_flag": ["suite", "scenarios", "--out", "OUT", "--form", "csv"],
+    "flag_of_another_command": ["suite", "scenarios", "--out", "OUT", "--eps", "0.1"],
+    "list_takes_no_flag": ["list", "--out", "OUT"],
+    "value_missing_at_end": ["run", "scenarios/blend_constant.json", "--out", "OUT", "--eps"],
+    "value_is_a_flag": ["suite", "scenarios", "--format", "--out", "OUT"],
+    "bad_format": ["suite", "scenarios", "--out", "OUT", "--format", "xml"],
+    "bad_format_inline": ["run", "scenarios/blend_constant.json", "--out", "OUT", "--format=JSON"],
+    "eps_not_a_float": ["run", "scenarios/blend_constant.json", "--out", "OUT", "--eps", "tiny"],
+    "missing_scenario": ["run", "--out", "OUT"],
+    "extra_positional": ["suite", "scenarios", "scenarios", "--out", "OUT"],
+    "list_takes_no_positional": ["list", "scenarios"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_cli_usage_error_is_the_usage_line_and_one_error_line(tmp_path, monkeypatch, in_process_main, name):
+    # exit 2 before anything runs: no report, no --out file, no traceback
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    out = tmp_path / "report.json"
+    code, stdout, stderr = in_process_main(*(word.replace("OUT", str(out)) for word in USAGE_ERRORS[name]))
+    assert code == 2
+    assert stdout == ""
+    assert re.fullmatch(r"usage: equiblend [^\n]+\nequiblend: error: [^\n]+\n", stderr), stderr
+    assert not out.exists()
+
+
+SPELLINGS = {
+    "inline_value": (["suite", "scenarios", "--out=OUT"], ["suite", "scenarios", "--out", "OUT"]),
+    "flags_before_positional": (["suite", "--format", "csv", "--out", "OUT", "scenarios"], ["suite", "scenarios", "--format", "csv", "--out", "OUT"]),
+    "default_directory": (["suite", "--out", "OUT"], ["suite", "scenarios", "--out", "OUT"]),
+    "last_repeat_wins": (["suite", "scenarios", "--format", "csv", "--out", "OUT", "--format=json"], ["suite", "scenarios", "--out", "OUT"]),
+    "run_flags_first": (["run", "--eps=1e-3", "--schedule", "2,4,8", "--out", "OUT", "scenarios/blend_grid.json"], ["run", "scenarios/blend_grid.json", "--eps", "1e-3", "--schedule", "2,4,8", "--out", "OUT"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPELLINGS))
+def test_cli_accepted_spellings_write_the_canonical_report(tmp_path, monkeypatch, in_process_main, name):
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    runs = []
+    for index, argv in enumerate(SPELLINGS[name]):
+        out = tmp_path / f"report{index}"
+        code, stdout, stderr = in_process_main(*(word.replace("OUT", str(out)) for word in argv))
+        assert code in (0, 1) and (stdout, stderr) == ("", ""), stderr
+        runs.append((code, out.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["run", "--help"], ["suite", "-h"], ["list", "--help"], ["suite", "--format", "csv", "--help", "--bogus"]])
+def test_cli_help_returns_zero_and_names_every_command_and_flag(in_process_main, argv):
+    code, stdout, stderr = in_process_main(*argv)
+    assert (code, stderr) == (0, "")
+    assert stdout.startswith("usage: equiblend ")
+    commands = COMMANDS if argv[0].startswith("-") else [argv[0]]
+    for command in commands:
+        assert command in stdout
+        assert COMMANDS[command][0] in stdout
+        for flag in COMMANDS[command][2]:
+            assert f"[{flag} " in stdout
 
 
 def test_readme_names_every_flag_of_run_and_suite():

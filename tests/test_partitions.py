@@ -569,6 +569,18 @@ def test_disjointify_decides_emptiness_without_counting_keys():
     assert disjointify(family.index_keys, family.active_keys).cell_of((0.25, 0.5)) == (5 * 2**30, 6 * 2**30)
 
 
+def test_a_level_cover_does_not_list_its_cells():
+    # a level's keys may outnumber memory, so its cover answers cell_of only;
+    # a cover given as (key, predicate) pairs still lists its cells
+    family = grid_scheme(1, box=(0.0, 1.0), n_max=4).family(4)
+    level = disjointify(family.index_keys, family.active_keys)
+    with pytest.raises(CoverError, match="cells are not listed.*use cell_of"):
+        level.cells
+    assert level.cell_of(0.3) == (1,)
+    halves = disjointify([(0, SupportBox.interval(0.0, 0.5).contains), (1, SupportBox.interval(0.0, 1.0).contains)])
+    assert [(key, member(0.25), member(0.75)) for key, member in halves.cells] == [((0,), True, False), ((1,), False, True)]
+
+
 def test_disjointify_random_covers():
     rng = np.random.default_rng(31)
     for _ in range(100):
