@@ -65,7 +65,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     directory = Path(args.directory)
-    files = sorted(directory.glob("*.json"))
+    try:  # the names Path.glob("*.json") matches, without compiling its pattern
+        files = [directory / name for name in sorted(os.listdir(directory)) if name.endswith(".json")]
+    except OSError:  # no directory there, which Path.glob reads as no match
+        files = []
     if not files:
         raise ConfigError(f"no scenario files (*.json) in {directory}")
     reports = [run_scenario(load_scenario_file(path)) for path in files]
@@ -121,7 +124,7 @@ def _parse(argv: list):
             given.append(word)
         elif (kind := flags.get(flag)) is None:
             raise _Stop(command, None if word in ("-h", "--help") else f"unrecognized arguments: {word}")
-        elif not eq and (value := next(words, "-")).startswith("-"):
+        elif not eq and (value := next(words, "-")).startswith("-") or not value:  # no flag takes an empty value
             raise _Stop(command, f"argument {flag}: expected one argument")
         else:
             try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 from .connectors import _check_dim, _coords, _norm_metric
 
@@ -207,18 +207,31 @@ def _near(origin: float, n: int, below: int, above: int, v: float, axis: range) 
     return range(max(f - below, axis.start), min(f + above + 1, axis.stop))
 
 
-def _anchored_level(axes: tuple, interval, near, weight, anchor_region, dense: DenseSet):
+class _Memo(dict):
+    """A dict that builds a missing value as ``make(key)`` and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.make(key))
+
+
+def _anchored_level(axes: tuple, interval, near, weight, anchor_interval, dense: DenseSet):
     """One scheme level: the bump family over the keys of the product of the
     integer ranges ``axes``, and its anchors, a function of the key; nothing
     is built per key.
 
     ``weight(j, v)`` need only be right for v in ``interval(j)``: the family
-    never calls it elsewhere.  Each key's anchor is the dense set's pick inside
-    ``anchor_region(key)``, one interval per axis, made on first use and kept;
-    ``AnchoredScheme.anchor`` rejects keys outside the level.  Both schemes
-    memoise ``interval``, so a level builds each axis index's interval once.
+    never calls it elsewhere.  Key k's anchor is (c(j) for j in k), bare in
+    dim 1, with c(j) the dense set's pick inside ``anchor_interval(j)``; each
+    c(j), anchor and ``interval(j)`` is made on first use and kept.
+    ``AnchoredScheme.anchor`` rejects keys outside the level.
     """
-    return BumpFamily(_KeyView(axes), weight, interval, near), cache(lambda key: dense.pick(anchor_region(key)))
+    coord = _Memo(lambda j: dense.pick((anchor_interval(j),))).__getitem__
+    return BumpFamily(_KeyView(axes), weight, interval, near), _Memo(lambda key: coord(key[0]) if len(key) == 1 else tuple(map(coord, key))).__getitem__
 
 
 def _check_resolution(n_max, lo: float, hi: float) -> None:
@@ -252,21 +265,17 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
 
     def build_level(n: int):
         count = side * n  # nodes 0..count per axis; node j is lo + j / n
-        r = 0.5 / n
-
-        @cache
-        def interval(j):
-            return SupportBox(lo + max(j - 1, 0) / n, lo + min(j + 1, count) / n, True, j + 1 >= count)
+        interval = _Memo(lambda j: SupportBox(lo + max(j - 1, 0) / n, lo + min(j + 1, count) / n, True, j + 1 >= count)).__getitem__
 
         def tent(j, v) -> float:
             return max(0.0, 1.0 - n * abs(v - (lo + j / n)))
 
-        def node_box(key):
-            return tuple(SupportBox(max(c - r, lo), min(c + r, hi), True, True) for c in (lo + j / n for j in key))
+        def node_interval(j):  # the points of the box within 1/(2n) of node j
+            return SupportBox(max(lo + j / n - 0.5 / n, lo), min(lo + j / n + 0.5 / n, hi), True, True)
 
         # nodes floor(t)-1 .. floor(t)+2 for t = (v - lo)*n: float rounding
         # of t cannot drop a support holding v
-        return _anchored_level((range(count + 1),) * dim, interval, partial(_near, lo, n, 1, 2), tent, node_box, dense)
+        return _anchored_level((range(count + 1),) * dim, interval, partial(_near, lo, n, 1, 2), tent, node_interval, dense)
 
     describe = {
         "kind": "grid",
@@ -288,13 +297,10 @@ def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
     dense = dyadic_dense()
 
     def build_level(n: int):
-        @cache
-        def tile(i):
-            return SupportBox.interval((i - 1) / n, i / n, closed_lo=True, closed_hi=False)
-
+        tile = _Memo(lambda i: SupportBox.interval((i - 1) / n, i / n, closed_lo=True, closed_hi=False)).__getitem__
         axes = (range(math.floor(lo * n) - 1, math.ceil(hi * n) + 2),)
         # x lies in tile floor(x*n)+1, up to float rounding of x*n
-        return _anchored_level(axes, tile, partial(_near, 0.0, n, 0, 2), lambda j, v: 1.0, lambda key: (tile(key[0] + 1),), dense)
+        return _anchored_level(axes, tile, partial(_near, 0.0, n, 0, 2), lambda j, v: 1.0, lambda j: tile(j + 1), dense)
 
     describe = {
         "kind": "sorgenfrey",

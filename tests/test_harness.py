@@ -22,6 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import equiblend
+from equiblend import cli
 from equiblend.cli import COMMANDS, main
 from equiblend.harness import (
     ConfigError,
@@ -524,6 +525,27 @@ def test_cli_exit_two_on_config_trouble(tmp_path):
     assert out2.returncode == 2
 
 
+def test_cli_suite_reads_the_files_path_glob_matches(tmp_path, monkeypatch, in_process_main):
+    # dotfiles and *.json directories match, case counts, order is sorted;
+    # the run records each path it loads
+    for name in ("b.json", "a.json", ".hidden.json", ".json", "B.json", "UPPER.JSON", "c.jsonx", "d.json.bak", "space name.json", "\u00e9.json"):
+        (tmp_path / name).write_text((SCENARIO_DIR / "blend_constant.json").read_text(encoding="utf-8"), encoding="utf-8")
+    (tmp_path / "folder.json").mkdir()
+    (tmp_path / "folder").mkdir()
+    loaded = []
+    load = cli.load_scenario_file
+    monkeypatch.setattr(cli, "load_scenario_file", lambda path: loaded.append(path) or load(SCENARIO_DIR / "blend_constant.json"))
+    code, stdout, stderr = in_process_main("suite", str(tmp_path), "--out", str(tmp_path / "report"))
+    assert (code, stdout, stderr) == (0, "", "")
+    assert loaded == sorted(tmp_path.glob("*.json"))
+    assert tmp_path / "folder.json" in loaded and tmp_path / ".hidden.json" in loaded
+    # a missing directory, or a path that is a file, holds no scenario files
+    for path in (tmp_path / "missing", tmp_path / "a.json"):
+        code, stdout, stderr = in_process_main("suite", str(path))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"config error: no scenario files (*.json) in {path}\n"
+
+
 def test_cli_schedule_override_validation():
     out = _cli(
         "run", str(SCENARIO_DIR / "blend_constant.json"), "--schedule", "4,2"
@@ -831,6 +853,10 @@ USAGE_ERRORS = {
     "missing_scenario": ["run", "--out", "OUT"],
     "extra_positional": ["suite", "scenarios", "scenarios", "--out", "OUT"],
     "list_takes_no_positional": ["list", "scenarios"],
+    "empty_out_run": ["run", "scenarios/blend_constant.json", "--out", ""],
+    "empty_out_run_inline": ["run", "scenarios/blend_constant.json", "--out="],
+    "empty_out_suite": ["suite", "scenarios", "--out", ""],
+    "empty_out_suite_inline": ["suite", "scenarios", "--out="],
 }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -499,7 +500,7 @@ def test_a_blend_term_picks_only_the_anchors_it_reads(monkeypatch, dim):
         before = len(picks)
         term = lambda_blend(f, scheme, affine_line(1), n)
         term(x, 0.0)
-        assert len(picks) - before <= 2 ** dim
+        assert len(picks) - before <= 2 * dim
         after = len(picks)
         term(x, 0.0)
         assert len(picks) == after
@@ -517,11 +518,12 @@ def test_lazy_anchors_equal_the_eager_picks(monkeypatch):
             eager[key] = dense.pick(region)
         picked = len(picks)
         lazy = {key: scheme.anchor(n, key) for key in _keys(scheme.family(n))}
-        assert len(picks) - picked == len(eager)
+        read = {j for key in eager for j in key}  # one pick per distinct axis index read
+        assert len(picks) - picked == len(read)
         assert list(lazy) == list(eager)
         assert all(np.asarray(lazy[k]).tobytes() == np.asarray(eager[k]).tobytes() for k in eager)
         assert {key: scheme.anchor(n, key) for key in lazy} == lazy  # picked once, then kept
-        assert len(picks) - picked == len(eager)
+        assert len(picks) - picked == len(read)
         for foreign in ((2 * n + 1,) * dim, (-1,) * dim, (0,) * (dim + 1)):
             with pytest.raises(KeyError):
                 scheme.anchor(n, foreign)
@@ -531,6 +533,72 @@ def test_lazy_anchors_equal_the_eager_picks(monkeypatch):
         assert anchors == {key: dense.pick((SupportBox.interval(key[0] / n, (key[0] + 1) / n, closed_hi=False),)) for key in _keys(scheme.family(n))}
         with pytest.raises(KeyError):
             scheme.anchor(n, (n + 2,))
+
+
+def _node_box(lo: float, hi: float, n: int, key: tuple) -> tuple:
+    """A key's anchor region when each key made its own pick: the closed box
+    of radius 1/(2n) around its node, clipped to the grid's box."""
+    r = 0.5 / n
+    return tuple(SupportBox.interval(max(c - r, lo), min(c + r, hi)) for c in (lo + j / n for j in key))
+
+
+def _bits(anchor) -> tuple:
+    return tuple(map(float.hex, anchor)) if isinstance(anchor, tuple) else ("bare", float.hex(anchor))
+
+
+@pytest.mark.parametrize("box", [(-1.0, 1.0), (0.1, 1.1)])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_per_axis_anchors_equal_the_per_key_picks(monkeypatch, dim, box):
+    # a key's anchor, assembled from per-axis picks, has the bits of the
+    # dense set's pick inside the key's whole node box, at dyadic and
+    # non-dyadic n, for keys on and next to the box's faces and for the keys
+    # active at each of their nodes and 1 ulp either side
+    picks = _counted_picks(monkeypatch)
+    dense = dyadic_dense()
+    lo, hi = box
+    scheme = grid_scheme(dim, box, n_max=3**5)
+    for n in (1, 3, 7, 16, 3**5):
+        count = round(hi - lo) * n
+        faces = sorted({0, 1, count // 2, count - 1, count})
+        coords = sorted({v for c in (lo + j / n for j in faces) for v in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)) if lo <= v <= hi})
+        keys = dict.fromkeys(itertools.product(faces, repeat=dim))
+        for x in itertools.product(coords, repeat=dim):
+            keys.update(dict.fromkeys(scheme.family(n).active_keys(x if dim > 1 else x[0])))
+        before = len(picks)
+        for key in keys:
+            assert _bits(scheme.anchor(n, key)) == _bits(dense.pick(_node_box(lo, hi, n, key))), (n, key)
+        # each axis index read is picked once, whichever axis and key read it
+        read = {j for key in keys for j in key}
+        assert len(picks) - before == len(read)
+        assert len({(region[0].lo, region[0].hi) for region in picks[before:]}) == len(read)
+        assert all(len(region) == 1 for region in picks[before:])
+
+
+@pytest.mark.parametrize("kind", ["grid", "sorgenfrey"])
+def test_a_level_build_wraps_nothing_and_a_second_probe_builds_nothing(monkeypatch, kind):
+    # a level build makes no function wrapper, interval or pick; a probe
+    # in cells already read builds no interval and picks nothing
+    picks = _counted_picks(monkeypatch)
+    scheme = grid_scheme(2, box=(0.0, 1.0), n_max=8) if kind == "grid" else sorgenfrey_scheme(n_max=8)
+    first, second = ((0.3, 0.55), (0.31, 0.56)) if kind == "grid" else (0.3, 0.32)
+    wrapped, built = [], []
+    update_wrapper, init = functools.update_wrapper, SupportBox.__init__
+    monkeypatch.setattr(functools, "update_wrapper", lambda *args, **kwargs: wrapped.append(args) or update_wrapper(*args, **kwargs))
+    monkeypatch.setattr(SupportBox, "__init__", lambda interval, *args: built.append(args) or init(interval, *args))
+    for n in (1, 5, 8):
+        scheme.level(n)
+    assert (wrapped, built, picks) == ([], [], [])
+    f = SectionedFunction(lambda x, y: 0.5)
+    terms = [lambda_blend(f, scheme, affine_line(1), 8), piecewise_anchor(f, scheme, 8)]
+    for term in terms:
+        term(first, 0.0)
+    assert built and picks
+    assert scheme.family(8).active_keys(first) == scheme.family(8).active_keys(second)
+    built.clear()
+    picks.clear()
+    for term in terms:
+        term(second, 0.0)
+    assert (wrapped, built, picks) == ([], [], [])
 
 
 def test_bools_are_not_keys():
