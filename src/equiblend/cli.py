@@ -71,7 +71,13 @@ def _cmd_suite(args) -> int:
         files = []
     if not files:
         raise ConfigError(f"no scenario files (*.json) in {directory}")
-    reports = [run_scenario(load_scenario_file(path)) for path in files]
+    scenarios = [load_scenario_file(path) for path in files]  # a bad file stops the suite before any run
+    schemes = {}  # describe() -> the first scheme made to it; a scheme only memoises, so its levels are built once per suite
+    for scenario in scenarios:
+        if scenario.scheme is not None:
+            scenario.scheme = schemes.setdefault(repr(scenario.scheme.describe()), scenario.scheme)
+    del schemes  # so a scheme, and a scenario, is freed once the last scenario that reads it has run
+    reports = [run_scenario(scenarios.pop(0)) for _ in files]
     data = suite_data(reports)
     if args.format == "csv":
         _emit(render_csv(reports), args.out)

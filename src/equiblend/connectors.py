@@ -72,7 +72,7 @@ def _with_endpoint_identities(raw):
             return x
         if t == 1.0:
             return y
-        if _points_equal(x, y):
+        if (x == y if type(x) is float and type(y) is float else _points_equal(x, y)):
             return x
         return raw(x, y, t)
 
@@ -134,7 +134,7 @@ def warped_line() -> ConnectorSpace:
     return ConnectorSpace(point_dim=1, connect=_with_endpoint_identities(raw))
 
 
-def _normalised(w: tuple) -> tuple:
+def _normalised(w: Sequence) -> Sequence:
     """w divided by its sum, which must be 1 within WEIGHT_ATOL; returned
     as is when the sum is exactly 1.  The sum is ``math.fsum``'s, correctly
     rounded, so it does not depend on the order of w."""
@@ -161,18 +161,21 @@ def _clean_weights(values) -> tuple:
     return _normalised(tuple(0.0 if v < 0.0 else v for v in w))
 
 
-def _fold(space: ConnectorSpace, points: list, weights: tuple) -> Point:
+def _fold(space: ConnectorSpace, points: Sequence, weights: Sequence) -> Point:
+    dim, connect = space.point_dim, space.connect
     for p in points:
-        size = 1 if space.point_dim == 1 and isinstance(p, float) else len(_coords(p))
-        if size != space.point_dim:
-            raise WeightError(f"point of dimension {size} in a {space.point_dim}-dimensional space")
+        size = 1 if dim == 1 and isinstance(p, float) else len(_coords(p))
+        if size != dim:
+            raise WeightError(f"point of dimension {size} in a {dim}-dimensional space")
     point, total = points[0], weights[0]
-    for q, v in zip(points[1:], weights[1:]):
+    pairs = zip(points, weights)
+    next(pairs)  # the first pair, read above
+    for q, v in pairs:
         s = total + v
         if s == 0.0:
             point, total = q, v
         else:
-            point, total = space.connect(point, q, v / s), s
+            point, total = connect(point, q, v / s), s
     return point
 
 
@@ -197,7 +200,7 @@ def lambda_sum(space: ConnectorSpace, points: Sequence, weights: Sequence[float]
     order, as :func:`convex_combination` does.  The weights are a bump
     family's positive values in key order; the family bounds each one, so
     they are only renormalised."""
-    return _fold(space, list(points), _normalised(tuple(weights)))
+    return _fold(space, points, _normalised(weights))
 
 
 class Contraction:

@@ -113,6 +113,16 @@ def _rational_stream():
 
 _RATIONAL_GEN = _rational_stream()
 _RATIONAL_CACHE: list = []
+_RATIONAL_POSITION: dict = {}  # fraction -> its 0-based index in _RATIONAL_CACHE
+
+
+def _rationals(count: int) -> list:
+    """_RATIONAL_CACHE, holding at least ``count`` terms, each with its position."""
+    while len(_RATIONAL_CACHE) < count:
+        frac = next(_RATIONAL_GEN)
+        _RATIONAL_POSITION[frac] = len(_RATIONAL_CACHE)
+        _RATIONAL_CACHE.append(frac)
+    return _RATIONAL_CACHE
 
 
 def rational_prefix(count: int) -> tuple:
@@ -121,9 +131,7 @@ def rational_prefix(count: int) -> tuple:
     count = int(count)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    while len(_RATIONAL_CACHE) < count:
-        _RATIONAL_CACHE.append(next(_RATIONAL_GEN))
-    return tuple(_RATIONAL_CACHE[:count])
+    return tuple(_rationals(count)[:count])
 
 
 def rational_enumeration(n: int) -> TaggedReal:
@@ -132,7 +140,7 @@ def rational_enumeration(n: int) -> TaggedReal:
     n = int(n)
     if n < 1:
         raise ValueError("enumeration index starts at 1")
-    frac = rational_prefix(n)[n - 1]
+    frac = _rationals(n)[n - 1]
     return TaggedReal.rational(frac.numerator, frac.denominator)
 
 
@@ -162,11 +170,12 @@ def _enumeration_index(frac: Fraction) -> int:
 
 
 def _finite_indicator(n: int) -> Callable:
-    members = frozenset(rational_prefix(n))
+    _rationals(n)  # every member has its position
+    position = _RATIONAL_POSITION.get
 
     def g(y) -> float:
         y = as_tagged(y)
-        return 1.0 if y.kind == "rational" and y.frac in members else 0.0
+        return 1.0 if y.kind == "rational" and position(y.frac, n) < n else 0.0
 
     return g
 

@@ -483,12 +483,19 @@ def _write(value, indent: str, out: list) -> None:
     elif isinstance(value, dict):
         lead = "{\n" + inner
         for key, v in value.items():
-            out.append(lead + encode_basestring_ascii(key) + ": ")
-            _write(v, inner, out)
+            scalar = _SCALARS.get(type(v))
+            if scalar is not None and (type(v) is not float or math.isfinite(v)):
+                out.append(lead + encode_basestring_ascii(key) + ": " + scalar(v))
+            else:
+                out.append(lead + encode_basestring_ascii(key) + ": ")
+                _write(v, inner, out)
             lead = sep
         out.append("\n" + indent + "}")
-    elif all(type(v) is float for v in value) and all(map(math.isfinite, value)):
-        out.append("[\n" + inner + sep.join(map(float.__repr__, value)) + "\n" + indent + "]")
+    elif all(type(v) is float for v in value):
+        text = sep.join(map(float.__repr__, value))
+        if "n" in text:  # only inf and nan write a letter n
+            _write(next(v for v in value if not math.isfinite(v)), inner, out)
+        out.append("[\n" + inner + text + "\n" + indent + "]")
     else:
         lead = "[\n" + inner
         for v in value:

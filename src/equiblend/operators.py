@@ -56,7 +56,8 @@ def tail_check(values: Sequence, target, eps: float):
     Returns (passed, gaps, final_gap); eps=0 demands exact agreement.
     """
     values = list(values)
-    gaps = tuple(_norm_metric(v, target) for v in values)
+    plain = type(target) is float
+    gaps = tuple(abs(v - target) if plain and type(v) is float else _norm_metric(v, target) for v in values)
     if len(values) < TAIL_K:
         return False, gaps, (gaps[-1] if gaps else float("inf"))
     passed = all(g <= eps for g in gaps[-TAIL_K:])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
-from functools import partial
 
 from .connectors import _check_dim, _coords, _norm_metric
 
@@ -116,10 +115,11 @@ class BumpFamily:
         axes = self.index_keys.axes
         if len(coords) != len(axes):
             return []
-        interval, weight = self.interval, self.weight
-        out = [((), 1.0)]
-        for v, axis in zip(coords, axes):
-            hits = [(j, weight(j, v)) for j in self.near(v, axis) if interval(j).contains(v)]
+        interval, weight, near = self.interval, self.weight, self.near
+        v, axis = coords[0], axes[0]
+        out = [((j,), weight(j, v)) for j in near(v, axis) if interval(j).contains(v)]
+        for v, axis in zip(coords[1:], axes[1:]):
+            hits = [(j, weight(j, v)) for j in near(v, axis) if interval(j).contains(v)]
             out = [(key + (j,), w * a) for key, w in out for j, a in hits]
         return out
 
@@ -197,14 +197,17 @@ class AnchoredScheme:
         return dict(self._describe)
 
 
-def _near(origin: float, n: int, below: int, above: int, v: float, axis: range) -> range:
-    """The indices of ``axis`` within floor(t)-below .. floor(t)+above for
-    t = (v - origin)*n; none when t is not finite."""
-    t = (v - origin) * n
-    if not math.isfinite(t):
-        return range(0)
-    f = math.floor(t)
-    return range(max(f - below, axis.start), min(f + above + 1, axis.stop))
+def _near(origin: float, n: int, below: int, above: int):
+    """``near(v, axis)``: the indices of ``axis`` within floor(t)-below ..
+    floor(t)+above for t = (v - origin)*n; none when t is not finite."""
+    def near(v: float, axis: range) -> range:
+        t = (v - origin) * n
+        if not math.isfinite(t):
+            return range(0)
+        f = math.floor(t)
+        return range(max(f - below, axis.start), min(f + above + 1, axis.stop))
+
+    return near
 
 
 class _Memo(dict):
@@ -268,14 +271,15 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
         interval = _Memo(lambda j: SupportBox(lo + max(j - 1, 0) / n, lo + min(j + 1, count) / n, True, j + 1 >= count)).__getitem__
 
         def tent(j, v) -> float:
-            return max(0.0, 1.0 - n * abs(v - (lo + j / n)))
+            w = 1.0 - n * abs(v - (lo + j / n))
+            return w if w > 0.0 else 0.0  # the bits of max(0.0, w), -0.0 and nan included
 
         def node_interval(j):  # the points of the box within 1/(2n) of node j
             return SupportBox(max(lo + j / n - 0.5 / n, lo), min(lo + j / n + 0.5 / n, hi), True, True)
 
         # nodes floor(t)-1 .. floor(t)+2 for t = (v - lo)*n: float rounding
         # of t cannot drop a support holding v
-        return _anchored_level((range(count + 1),) * dim, interval, partial(_near, lo, n, 1, 2), tent, node_interval, dense)
+        return _anchored_level((range(count + 1),) * dim, interval, _near(lo, n, 1, 2), tent, node_interval, dense)
 
     describe = {
         "kind": "grid",
@@ -300,7 +304,7 @@ def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
         tile = _Memo(lambda i: SupportBox.interval((i - 1) / n, i / n, closed_lo=True, closed_hi=False)).__getitem__
         axes = (range(math.floor(lo * n) - 1, math.ceil(hi * n) + 2),)
         # x lies in tile floor(x*n)+1, up to float rounding of x*n
-        return _anchored_level(axes, tile, partial(_near, 0.0, n, 0, 2), lambda j, v: 1.0, lambda j: tile(j + 1), dense)
+        return _anchored_level(axes, tile, _near(0.0, n, 0, 2), lambda j, v: 1.0, lambda j: tile(j + 1), dense)
 
     describe = {
         "kind": "sorgenfrey",

@@ -76,7 +76,7 @@ def _recorded(tmp_path, names) -> dict:
     """Calls or counts of every required span and counter after a traced
     suite over the named scenarios."""
     suite = tmp_path / "suite"
-    suite.mkdir()
+    suite.mkdir(parents=True)
     for name in names:
         (suite / f"{name}.json").write_text(json.dumps({"name": name, **SCENARIOS[name]}))
     out = subprocess.run(
@@ -115,3 +115,15 @@ def test_lookup_spans_record_on_one_scenario(tmp_path, scenario, names, keys):
     recorded = _recorded(tmp_path, [scenario])
     assert [name for name in names if not recorded[name]] == []
     assert recorded["partitions.keys_built"] == keys
+
+
+def test_a_shared_scheme_records_its_build_once(tmp_path):
+    # blend1 and collapsing read one grid scheme (the shape of the probes
+    # workload's grid1_line and grid1_warped), so the second builds no level
+    # and picks no anchor; what the first builds still records
+    names = ("partitions.level_build", "partitions.levels_built", "partitions.keys_built", "partitions.anchor_picks")
+    alone = _recorded(tmp_path / "alone", ["blend1"])
+    shared = _recorded(tmp_path / "shared", ["blend1", "collapsing"])
+    assert [name for name in names if not shared[name]] == []
+    assert {name: shared[name] for name in names} == {name: alone[name] for name in names}
+    assert shared["partitions.keys_built"] == 3 + 5 + 9

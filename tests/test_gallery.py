@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from equiblend.gallery import (
+    _RATIONAL_POSITION,
     _enumeration_index,
+    _finite_indicator,
     CollapsingBump,
     FinSeq,
     GalleryError,
@@ -114,6 +116,22 @@ def test_enumeration_accessor_tags_each_entry():
     assert fifth.frac == Fraction(-1, 2) and fifth.value == -0.5
     with pytest.raises(ValueError):
         rational_enumeration(0)
+
+
+def test_finite_indicator_reads_the_enumeration_position():
+    # every reduced p/q with |p| + q <= 40 (about 1,000, most beyond position
+    # 300) against membership in each prefix; other tags are never members
+    fracs = [Fraction(sign * p, s - p) for s in range(1, 41) for p in range(s) if math.gcd(p, s) == 1 for sign in ((1, -1) if p else (1,))]
+    rationals = [TaggedReal.rational(f.numerator, f.denominator) for f in fracs]
+    others = [TaggedReal.irrational(y.value) for y in rationals] + [TaggedReal.plain(y.value) for y in rationals]
+    for n in range(1, 301):
+        g = _finite_indicator(n)
+        members = set(rational_prefix(n))
+        assert [g(y) for y in rationals] == [1.0 if y.frac in members else 0.0 for y in rationals], n
+        assert {g(y) for y in others} == {0.0}, n
+        assert rational_enumeration(n).frac == rational_prefix(n)[n - 1]
+    prefix = rational_prefix(10_000)
+    assert [_RATIONAL_POSITION[frac] for frac in prefix] == list(range(10_000))
 
 
 def test_enumeration_index_counts_the_blocks():

@@ -17,12 +17,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from fuzzing import FUZZ, json_values
+from fuzzing import FUZZ, json_values, scalars
 from hypothesis import given
 from hypothesis import strategies as st
 
 import equiblend
-from equiblend import cli
+from equiblend import cli, partitions
 from equiblend.cli import COMMANDS, main
 from equiblend.harness import (
     ConfigError,
@@ -44,6 +44,7 @@ from equiblend.harness import (
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+BENCH_DIR = SCENARIO_DIR.parent / "bench"
 
 
 FAN = {"function": "example1", "operator": "tower_tail", "scheme": {"kind": "none"}}
@@ -375,10 +376,14 @@ def _dumps(value) -> str:
 
 _finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 2.0**53])
 _strings = st.text(max_size=6) | st.sampled_from(['"\\/\b\f\n\r\t', "\x00\x1f\x7f", "é€😀", "\ud800"])
-# json_values, with tuples, flat float lists and escapes mixed in
+# json_values, with tuples, flat float lists, all-scalar dicts and escapes mixed in
 _report_like = st.recursive(
     json_values | _finite | _strings,
-    lambda inner: st.lists(inner, max_size=4).map(tuple) | st.lists(_finite, max_size=8) | st.lists(_finite, max_size=8).map(tuple) | st.dictionaries(_strings, inner, max_size=4),
+    lambda inner: st.lists(inner, max_size=4).map(tuple)
+    | st.lists(_finite, max_size=8)
+    | st.lists(_finite, max_size=8).map(tuple)
+    | st.dictionaries(_strings, inner, max_size=4)
+    | st.dictionaries(_strings, scalars | _finite | _strings, max_size=6),
     max_leaves=16,
 )
 
@@ -404,7 +409,7 @@ def test_render_json_writes_every_shipped_report_as_json_dumps():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_render_json_refuses_a_nested_non_finite_float(bad):
-    for value in (bad, [0.5, bad, 0.25], (bad,), {"a": [[1, bad]]}, {"a": {"b": bad}}, [{"terms": (0.5, bad)}]):
+    for value in (bad, [0.5, bad, 0.25], [0.5, 0.25, bad], (bad,), {"a": [[1, bad]]}, {"a": {"b": bad}}, [{"terms": (0.5, bad)}], {"a": 0.5, "b": "s", "c": bad, "d": 1}):
         with pytest.raises(ValueError, match="not JSON compliant"):
             render_json(value)
 
@@ -544,6 +549,76 @@ def test_cli_suite_reads_the_files_path_glob_matches(tmp_path, monkeypatch, in_p
         code, stdout, stderr = in_process_main("suite", str(path))
         assert (code, stdout) == (2, "")
         assert stderr == f"config error: no scenario files (*.json) in {path}\n"
+
+
+def test_cli_suite_parses_every_file_before_it_runs_any(tmp_path, monkeypatch, in_process_main):
+    (tmp_path / "a.json").write_text(json.dumps(_minimal_dict()), encoding="utf-8")
+    (tmp_path / "b.json").write_text("{", encoding="utf-8")
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario", runs.append)
+    code, stdout, stderr = in_process_main("suite", str(tmp_path))
+    assert (code, stdout, runs) == (2, "", [])
+    assert stderr.startswith(f"config error: scenario {tmp_path / 'b.json'} is not valid UTF-8 JSON")
+    assert len(stderr.splitlines()) == 1
+
+
+def _level_builds(monkeypatch) -> list:
+    """Records (scheme kind, n) for every level any scheme made from now on builds."""
+    builds = []
+    init = partitions.AnchoredScheme.__init__
+
+    def counting(self, n_max, space_kind, tag, build_level, describe):
+        init(self, n_max, space_kind, tag, lambda n: builds.append((describe["kind"], n)) or build_level(n), describe)
+
+    monkeypatch.setattr(partitions.AnchoredScheme, "__init__", counting)
+    return builds
+
+
+def test_cli_suite_builds_a_shared_sorgenfrey_level_once(tmp_path, monkeypatch, in_process_main):
+    names = ("anchor_sorgenfrey.json", "blend_sorgenfrey.json")
+    for name in names:
+        (tmp_path / name).write_text((SCENARIO_DIR / name).read_text(encoding="utf-8"), encoding="utf-8")
+    builds = _level_builds(monkeypatch)
+    code, stdout, stderr = in_process_main("suite", str(tmp_path))
+    assert (code, stderr) == (0, "")
+    assert builds == [("sorgenfrey", n) for n in DEFAULT_SCHEDULE]
+    # each report is the one that file gives alone
+    for name, report in zip(names, json.loads(stdout)["scenarios"]):
+        assert in_process_main("run", str(SCENARIO_DIR / name)) == (0, render_json(report), "")
+
+
+def test_cli_suite_shares_a_scheme_only_between_equal_configs(tmp_path, monkeypatch, in_process_main):
+    # a and a_too read the same grid; b's longer schedule makes a scheme to a larger n_max
+    scenarios = {
+        "a": _minimal_dict(name="a"),
+        "a_too": _minimal_dict(name="a_too", probes=[{"x": 0.75, "y": 0.5}]),
+        "b": _minimal_dict(name="b", schedule=[1, 2, 4, 8]),
+    }
+    for name, data in scenarios.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+    builds = _level_builds(monkeypatch)
+    code, stdout, stderr = in_process_main("suite", str(tmp_path), "--out", str(tmp_path / "report"))
+    assert (code, stdout, stderr) == (0, "", "")
+    assert builds == [("grid", n) for n in (1, 2, 4, 1, 2, 4, 8)]
+
+
+def test_cli_reports_match_the_benchmark_reference_digests(tmp_path, monkeypatch, in_process_main):
+    # the shipped suite and every probe of the benchmark's probes and levels
+    # pools, against the digests in bench/references; the grid1_warped
+    # digests hold numpy.cbrt's last bits on the CPU they were made on
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import workloads
+
+    for workload in ("suite", "probes", "levels"):
+        directory = SCENARIO_DIR if workload == "suite" else tmp_path / workload
+        if workload != "suite":
+            workloads.write_generated(workload, 0, directory, full_pool=True)
+        report = tmp_path / f"{workload}.json"
+        code, stdout, stderr = in_process_main("suite", str(directory), "--out", str(report))
+        assert (code in (0, 1), stdout, stderr) == (True, "", "")
+        records = workloads.report_records(json.loads(report.read_text(encoding="utf-8")))
+        digests = {name: {workloads.probe_key(r): workloads.record_digest(r) for r in rs} for name, rs in records.items()}
+        assert digests == workloads.load_reference(workload), workload
 
 
 def test_cli_schedule_override_validation():
