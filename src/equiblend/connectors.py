@@ -89,10 +89,7 @@ def affine_space(lo, hi, dim: int = 1) -> ConnectorSpace:
         raise ValueError("affine_space needs hi > lo")
     _check_dim(dim)
 
-    def raw(x, y, t):
-        if isinstance(x, (tuple, list)) or isinstance(y, (tuple, list)):
-            return tuple((1.0 - t) * a + t * b for a, b in zip(_coords(x), _coords(y)))
-        # numbers, and arrays with their own elementwise arithmetic
+    def raw(x, y, t):  # numbers, and arrays with their own elementwise arithmetic
         return (1.0 - t) * x + t * y
 
     return ConnectorSpace(point_dim=dim, connect=_with_endpoint_identities(raw))

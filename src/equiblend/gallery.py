@@ -113,16 +113,20 @@ def _rational_stream():
 
 _RATIONAL_GEN = _rational_stream()
 _RATIONAL_CACHE: list = []
-_RATIONAL_POSITION: dict = {}  # fraction -> its 0-based index in _RATIONAL_CACHE
 
 
 def _rationals(count: int) -> list:
-    """_RATIONAL_CACHE, holding at least ``count`` terms, each with its position."""
+    """_RATIONAL_CACHE, holding at least ``count`` terms."""
     while len(_RATIONAL_CACHE) < count:
-        frac = next(_RATIONAL_GEN)
-        _RATIONAL_POSITION[frac] = len(_RATIONAL_CACHE)
-        _RATIONAL_CACHE.append(frac)
+        _RATIONAL_CACHE.append(next(_RATIONAL_GEN))
     return _RATIONAL_CACHE
+
+
+def _order(frac: Fraction) -> tuple:
+    """A fraction's enumeration key (|p| + q, |p|, p < 0): the enumeration
+    lists the rationals in increasing key order."""
+    p = frac.numerator
+    return (abs(p) + frac.denominator, abs(p), p < 0)
 
 
 def rational_prefix(count: int) -> tuple:
@@ -170,12 +174,13 @@ def _enumeration_index(frac: Fraction) -> int:
 
 
 def _finite_indicator(n: int) -> Callable:
-    _rationals(n)  # every member has its position
-    position = _RATIONAL_POSITION.get
+    """Indicator of the first n enumerated rationals: a rational is among
+    them when its key is at most the n-th rational's."""
+    last = _order(rational_enumeration(n).frac)
 
     def g(y) -> float:
         y = as_tagged(y)
-        return 1.0 if y.kind == "rational" and position(y.frac, n) < n else 0.0
+        return 1.0 if y.kind == "rational" and _order(y.frac) <= last else 0.0
 
     return g
 
@@ -366,16 +371,6 @@ class FinSeq:
         return max((abs(c) for i, c in self.entries if i <= k), default=0.0)
 
 
-def in_supported_ball(x: FinSeq, k: int) -> bool:
-    """Supported in the first k slots with amplitude at most 1/k."""
-    return x.top_index <= k and x.sup_abs <= 1.0 / k
-
-
-def in_amplitude_ball(x: FinSeq, m: int) -> bool:
-    """Amplitude at most 1/m, support unrestricted."""
-    return x.sup_abs <= 1.0 / m
-
-
 def in_open_ball(x: FinSeq, n: int) -> bool:
     """First-n amplitude strictly below 1/(n - 1/2).
 
@@ -385,21 +380,16 @@ def in_open_ball(x: FinSeq, n: int) -> bool:
     return x.head_sup(n) < 1.0 / (n - 0.5)
 
 
-def _in_layer(x: FinSeq, n: int, m: int) -> bool:
-    if in_amplitude_ball(x, m):
-        return True
-    return any(in_supported_ball(x, k) for k in range(n, m + 1))
-
-
 def in_core(x: FinSeq, n: int) -> bool:
-    """Membership in the level-n core: every layer from n on captures x.
+    """Membership in the level-n core: every layer m >= n captures x, where
+    layer m is the amplitude ball sup <= 1/m joined with the supported balls
+    (top_index <= k, sup <= 1/k) for k in n..m.
 
-    Layers beyond max(n, top_index) are decided by the layer at that cap
-    (the support-restricted part of a layer stabilizes there and the
-    amplitude part only loses points afterwards), so the check is finite.
+    With K = max(n, top_index), a layer below K holds x only through its
+    amplitude ball, and every layer from K on holds x exactly when
+    sup <= 1/K; as 1/m >= 1/K in floats for m <= K, that one test decides.
     """
-    cap = max(n, x.top_index)
-    return all(_in_layer(x, n, m) for m in range(n, cap + 1))
+    return x.sup_abs <= 1.0 / max(n, x.top_index)
 
 
 def _dist_amplitude(x: FinSeq, m: int) -> float:
@@ -407,12 +397,9 @@ def _dist_amplitude(x: FinSeq, m: int) -> float:
 
 
 def _dist_supported(x: FinSeq, k: int) -> float:
-    r = 1.0 / k
-    d = x.tail_sup(k)
-    for i, c in x.entries:
-        if i <= k:
-            d = max(d, abs(c) - r)
-    return max(0.0, d)
+    # subtracting 1/k rounds monotonically, so the largest head excess is
+    # the head's sup minus 1/k
+    return max(0.0, x.tail_sup(k), x.head_sup(k) - 1.0 / k)
 
 
 def _dist_layer(x: FinSeq, n: int, m: int) -> float:

@@ -130,11 +130,12 @@ class BumpFamily:
 # stays a dataclass: bench/spans.py calls dataclasses.replace on it
 @dataclass(frozen=True)
 class DenseSet:
-    """A countable dense set given operationally: pick one of its points
-    inside any nonempty region."""
+    """A countable dense set of the line given operationally: ``pick``
+    returns one of its points inside any nonempty interval.  A scheme picks
+    each anchor coordinate on its own axis interval."""
 
     tag: str
-    pick: Callable[[tuple[SupportBox, ...]], object]  # a region: one interval per axis
+    pick: Callable[[SupportBox], float]
 
 
 def _coarsest_dyadic_in(interval: SupportBox) -> float:
@@ -155,23 +156,21 @@ def _coarsest_dyadic_in(interval: SupportBox) -> float:
 def dyadic_dense() -> DenseSet:
     """Dyadic rationals p/2^k, picked deterministically: coarsest level first,
     then smallest numerator."""
-
-    def pick(region: tuple):
-        coords = tuple(map(_coarsest_dyadic_in, region))
-        return coords[0] if len(coords) == 1 else coords
-
-    return DenseSet(tag="dyadic", pick=pick)
+    return DenseSet(tag="dyadic", pick=_coarsest_dyadic_in)
 
 
 class AnchoredScheme:
     """A sequence of partitions (level n has scale 1/n), each bump carrying an
-    anchor point drawn from a fixed dense set."""
+    anchor point drawn from a fixed dense set.
 
-    def __init__(self, n_max: int, space_kind: str, dense_set_tag: str, level_builder, describe: dict):
+    ``neighborhood(anchor, x, radius)`` says whether an anchor lies in the
+    space's radius-neighborhood of x."""
+
+    def __init__(self, n_max: int, neighborhood: Callable, dense_set_tag: str, level_builder, describe: dict):
         if n_max < 1:
             raise ValueError("n_max must be a positive integer")
         self.n_max = int(n_max)
-        self.space_kind = space_kind
+        self.neighborhood = neighborhood
         self._build_level = level_builder
         self._describe = {**describe, "dense_set": dense_set_tag}
         self._levels: dict = {}  # lazily built; idempotent, safe to race
@@ -233,7 +232,7 @@ def _anchored_level(axes: tuple, interval, near, weight, anchor_interval, dense:
     c(j), anchor and ``interval(j)`` is made on first use and kept.
     ``AnchoredScheme.anchor`` rejects keys outside the level.
     """
-    coord = _Memo(lambda j: dense.pick((anchor_interval(j),))).__getitem__
+    coord = _Memo(lambda j: dense.pick(anchor_interval(j))).__getitem__
     return BumpFamily(_KeyView(axes), weight, interval, near), _Memo(lambda key: coord(key[0]) if len(key) == 1 else tuple(map(coord, key))).__getitem__
 
 
@@ -287,7 +286,7 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
         "box": [lo, hi],
         "n_max": int(n_max),
     }
-    return AnchoredScheme(n_max, "euclidean_grid", dense.tag, build_level, describe)
+    return AnchoredScheme(n_max, lambda a, x, r: _norm_metric(a, x) < r, dense.tag, build_level, describe)
 
 
 def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
@@ -311,26 +310,20 @@ def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
         "domain": [lo, hi],
         "n_max": int(n_max),
     }
-    return AnchoredScheme(n_max, "sorgenfrey", dense.tag, build_level, describe)
-
-
-def _anchor_in_neighborhood(space_kind: str, anchor, x, radius: float) -> bool:
-    if space_kind == "sorgenfrey":
-        return x <= anchor < x + radius
-    return _norm_metric(anchor, x) < radius
+    return AnchoredScheme(n_max, lambda a, x, r: x <= a < x + r, dense.tag, build_level, describe)
 
 
 def verify_anchoring(scheme: AnchoredScheme, x, radius: float) -> int:
     """Least n0 such that for every n in [n0, n_max], all bumps whose support
-    contains x have their anchor inside the radius-neighborhood of x
-    (metric ball, or [x, x+radius) on the half-open line)."""
+    contains x have their anchor inside the scheme's radius-neighborhood of
+    x (the open metric ball on a grid, [x, x+radius) on the Sorgenfrey line)."""
     radius = float(radius)
     if not radius > 0:
         raise ValueError("radius must be positive")
     n0 = None
     for n in range(scheme.n_max, 0, -1):  # the tail ends at the first failure from the top
         anchors = (scheme.anchor(n, key) for key in scheme.family(n).active_keys(x))
-        if not all(_anchor_in_neighborhood(scheme.space_kind, a, x, radius) for a in anchors):
+        if not all(scheme.neighborhood(a, x, radius) for a in anchors):
             break
         n0 = n
     if n0 is None:

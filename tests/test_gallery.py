@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from equiblend.gallery import (
-    _RATIONAL_POSITION,
+    _dist_supported,
     _enumeration_index,
     _finite_indicator,
+    _order,
     CollapsingBump,
     FinSeq,
     GalleryError,
@@ -28,10 +29,8 @@ from equiblend.gallery import (
     example1_function,
     example2_eval,
     half_line_instance,
-    in_amplitude_ball,
     in_core,
     in_open_ball,
-    in_supported_ball,
     level_ramp,
     nested_indicator,
     rational_enumeration,
@@ -130,8 +129,8 @@ def test_finite_indicator_reads_the_enumeration_position():
         assert [g(y) for y in rationals] == [1.0 if y.frac in members else 0.0 for y in rationals], n
         assert {g(y) for y in others} == {0.0}, n
         assert rational_enumeration(n).frac == rational_prefix(n)[n - 1]
-    prefix = rational_prefix(10_000)
-    assert [_RATIONAL_POSITION[frac] for frac in prefix] == list(range(10_000))
+    keys = list(map(_order, rational_prefix(10_000)))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_enumeration_index_counts_the_blocks():
@@ -342,13 +341,46 @@ def test_core_membership_matches_brute_force():
     assert checked == 1200
 
 
+def _loop_dist_supported(x: FinSeq, k: int) -> float:
+    # the distance to the supported ball k entry by entry: a head entry
+    # lies |c| - 1/k outside it, a tail entry |c|
+    d = 0.0
+    for i, c in x.entries:
+        d = max(d, abs(c) - 1.0 / k if i <= k else abs(c))
+    return d
+
+
+def _adversarial_finseqs(n: int):
+    # one or two signed entries with coefficients 1/k and its 1-ulp
+    # neighbours, or 1/(k - 1/2), for k near n, the last at index n - 1, n
+    # or n + 1
+    values = [v for k in (n - 1, n, n + 1) if k >= 1 for v in (1.0 / k, math.nextafter(1.0 / k, 0.0), math.nextafter(1.0 / k, 2.0), 1.0 / (k - 0.5))]
+    values += [-v for v in values]
+    for top in (n - 1, n, n + 1):
+        if top < 1:
+            continue
+        for c in values:
+            yield FinSeq(((top, c),))
+            if top > 1:
+                for b in values:
+                    yield FinSeq(((1, b), (top, c)))
+
+
+def test_core_and_supported_distance_at_adversarial_floats():
+    checked = 0
+    for n in (1, 2, 3, 5, 10):
+        for x in _adversarial_finseqs(n):
+            horizon = max(n, x.top_index) + 3
+            for m in range(max(1, n - 1), n + 2):
+                assert in_core(x, m) == _brute_core(x, m, horizon), (x.entries, m)
+            for k in range(1, x.top_index + 2):
+                assert _dist_supported(x, k).hex() == _loop_dist_supported(x, k).hex(), (x.entries, k)
+            checked += 1
+    assert checked == 6912
+
+
 def test_shell_memberships():
     x = FinSeq.from_list([0.0, 0.25])  # top 2, sup 1/4
-    assert in_supported_ball(x, 2)  # top<=2 fails at 3? no: k=2: top 2<=2, sup<=1/2
-    assert in_supported_ball(x, 4)
-    assert not in_supported_ball(x, 5)  # sup 0.25 > 1/5
-    assert in_amplitude_ball(x, 4)
-    assert not in_amplitude_ball(x, 5)
     assert in_open_ball(x, 2)  # 0.25 < 1/(2-1/2)
     assert not in_open_ball(x, 5)  # needs < 1/4.5
 

@@ -567,8 +567,8 @@ def _level_builds(monkeypatch) -> list:
     builds = []
     init = partitions.AnchoredScheme.__init__
 
-    def counting(self, n_max, space_kind, tag, build_level, describe):
-        init(self, n_max, space_kind, tag, lambda n: builds.append((describe["kind"], n)) or build_level(n), describe)
+    def counting(self, n_max, neighborhood, tag, build_level, describe):
+        init(self, n_max, neighborhood, tag, lambda n: builds.append((describe["kind"], n)) or build_level(n), describe)
 
     monkeypatch.setattr(partitions.AnchoredScheme, "__init__", counting)
     return builds

@@ -71,27 +71,23 @@ def test_interval_edge_membership():
 
 def test_dyadic_pick_is_coarsest():
     d = dyadic_dense()
-    assert d.pick((SupportBox.interval(0.3, 0.4),)) == 0.375
-    assert d.pick((SupportBox.interval(0.0, 1.0, closed_hi=False),)) == 0.0
-    assert d.pick((SupportBox.interval(0.5, 0.75, closed_hi=False),)) == 0.5
-    assert d.pick((SupportBox.interval(0.5, 0.75, closed_lo=False),)) == 0.75
-    # a region of several axes picks on each and gives a tuple
-    assert d.pick((SupportBox.interval(0.3, 0.4), SupportBox.interval(0.5, 0.75, closed_lo=False))) == (0.375, 0.75)
+    assert d.pick(SupportBox.interval(0.3, 0.4)) == 0.375
+    assert d.pick(SupportBox.interval(0.0, 1.0, closed_hi=False)) == 0.0
+    assert d.pick(SupportBox.interval(0.5, 0.75, closed_hi=False)) == 0.5
+    assert d.pick(SupportBox.interval(0.5, 0.75, closed_lo=False)) == 0.75
 
 
 def test_dyadic_pick_succeeds_on_float_singleton():
     # every float is a dyadic rational, so a closed degenerate window still
     # has a pick: the point itself
     d = dyadic_dense()
-    assert d.pick((SupportBox.interval(0.1, 0.1),)) == 0.1
+    assert d.pick(SupportBox.interval(0.1, 0.1)) == 0.1
 
 
 def test_dyadic_pick_fails_on_empty_window():
     d = dyadic_dense()
     with pytest.raises(DenseSetError):
-        d.pick((SupportBox.interval(0.1, 0.1, closed_hi=False),))
-    with pytest.raises(DenseSetError):
-        d.pick((SupportBox.interval(0.3, 0.4), SupportBox.interval(0.1, 0.1, closed_hi=False)))
+        d.pick(SupportBox.interval(0.1, 0.1, closed_hi=False))
 
 
 # ---------------------------------------------------------------- grid scheme
@@ -242,6 +238,58 @@ def test_anchoring_error_when_radius_too_tight():
         verify_anchoring(scheme, 0.3, 0.01)
 
 
+@pytest.mark.parametrize("box", [(-1.0, 1.0), (0.1, 1.1)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_anchors_lie_within_three_half_meshes(dim, box):
+    # a support is node ± 1/n and an anchor lies within 1/(2n) of its node,
+    # so per axis |a - x| <= 3/(2n), up to the rounding of the float nodes;
+    # checked at every level, at each node, its 1-ulp neighbours and the
+    # faces, and then the tail verify_anchoring reports for a radius r is
+    # bounded by the first level whose per-axis bound puts the anchor box
+    # strictly inside the ball
+    lo, hi = box
+    n_max = 64 if dim == 1 else 32
+    scheme = grid_scheme(dim, box, n_max=n_max)
+    slack = 4 * math.ulp(max(abs(lo), abs(hi)))
+    for n in range(1, n_max + 1):
+        nodes = [lo + j / n for j in range(round(hi - lo) * n + 1)]
+        coords = [v for c in nodes for v in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)) if lo <= v <= hi]
+        points = coords if dim == 1 else [np.array(p) for p in zip(coords, coords[::-1])]
+        for x in points:
+            for key in scheme.family(n).active_keys(x):
+                a = np.ravel(scheme.anchor(n, key))
+                assert np.all(np.abs(a - np.ravel(x)) <= 1.5 / n + slack), (n, x, key)
+    points = [lo, hi, math.nextafter(hi, -math.inf), lo + 0.3, lo + 1 / 3, lo + 0.77]
+    points = points if dim == 1 else [np.array(p) for p in zip(points, points[::-1])]
+    for r in (0.3, 0.1, 0.07):
+        bound = math.floor(1.5 * math.sqrt(dim) / r) + 1
+        for x in points:
+            assert verify_anchoring(scheme, x, r) <= bound, (r, x)
+
+
+def test_anchoring_neighborhood_boundaries():
+    # Sorgenfrey: [x, x + r), so an anchor at x counts and one at x + r does
+    # not; at x = 1/4 the level-4 anchor is 1/2, exactly x + 1/4
+    sorgenfrey = sorgenfrey_scheme(n_max=4)
+    assert sorgenfrey.neighborhood(0.5, 0.5, 0.25)
+    assert not sorgenfrey.neighborhood(0.75, 0.5, 0.25)
+    assert not sorgenfrey.neighborhood(math.nextafter(0.5, -math.inf), 0.5, 0.25)
+    assert [sorgenfrey.anchor(n, key) for n in (1, 2, 3, 4) for key in sorgenfrey.family(n).active_keys(0.25)] == [1.0, 0.5, 0.5, 0.5]
+    with pytest.raises(AnchoringError):
+        verify_anchoring(sorgenfrey, 0.25, 0.25)
+    assert verify_anchoring(sorgenfrey, 0.25, 0.3) == 2
+    # grid: the open ball, so an anchor at distance exactly r does not count;
+    # at x = 3/8 the level-4 anchors are 1/4 and 1/2, both 1/8 away
+    grid = grid_scheme(1, (0.0, 1.0), n_max=4)
+    assert [grid.anchor(4, key) for key in grid.family(4).active_keys(0.375)] == [0.25, 0.5]
+    with pytest.raises(AnchoringError):
+        verify_anchoring(grid, 0.375, 0.125)
+    assert verify_anchoring(grid, 0.375, math.nextafter(0.125, math.inf)) == 3
+    plane = grid_scheme(2, (0.0, 1.0), n_max=4)
+    assert not plane.neighborhood((3.0, 4.0), (0.0, 0.0), 5.0)
+    assert plane.neighborhood((3.0, 4.0), (0.0, 0.0), math.nextafter(5.0, math.inf))
+
+
 def test_pointwise_finiteness_bound():
     grid = grid_scheme(2, box=(0.0, 1.0), n_max=4)
     fams = [grid.family(n) for n in (1, 2, 3, 4)]
@@ -324,7 +372,7 @@ def test_candidate_lookup_matches_the_full_scan():
 def test_weights_at_is_the_tent_product_bit_for_bit():
     for scheme, n, points in _lookup_cases():
         fam = scheme.family(n)
-        lo = None if scheme.space_kind == "sorgenfrey" else -1.0
+        lo = None if scheme.describe()["kind"] == "sorgenfrey" else -1.0
         for x in points:
             weights = fam.weights_at(x)
             assert [k for k, _ in weights] == fam.active_keys(x)
@@ -361,9 +409,10 @@ def test_a_blend_term_weighs_each_axis_hit_once(monkeypatch):
             except PartitionViolationError:
                 pass
             assert calls["contains"] <= 4 * dim and calls["weight"] <= 2 * dim, (n, x, calls)
-            most[scheme.space_kind, dim] = max(most.get((scheme.space_kind, dim), 0), calls["weight"])
+            kind = scheme.describe()["kind"]
+            most[kind, dim] = max(most.get((kind, dim), 0), calls["weight"])
     # inside a grid every axis has two hits, so the bound is reached
-    assert most == {("euclidean_grid", 1): 2, ("euclidean_grid", 2): 4, ("euclidean_grid", 3): 6, ("sorgenfrey", 1): 1}
+    assert most == {("grid", 1): 2, ("grid", 2): 4, ("grid", 3): 6, ("sorgenfrey", 1): 1}
 
 
 def test_a_blend_term_is_the_convex_combination_of_its_live_anchor_sections():
@@ -484,7 +533,7 @@ def _counted_picks(monkeypatch) -> list:
 
     def counted():
         dense = dyadic()
-        return dataclasses.replace(dense, pick=lambda region: picks.append(region) or dense.pick(region))
+        return dataclasses.replace(dense, pick=lambda interval: picks.append(interval) or dense.pick(interval))
 
     monkeypatch.setattr(partitions, "dyadic_dense", counted)
     return picks
@@ -514,8 +563,9 @@ def test_lazy_anchors_equal_the_eager_picks(monkeypatch):
         eager = {}
         for key in _keys(scheme.family(n)):
             node = [-1.0 + j / n for j in key]
-            region = tuple(SupportBox.interval(max(c - 0.5 / n, -1.0), min(c + 0.5 / n, 1.0)) for c in node)
-            eager[key] = dense.pick(region)
+            box = tuple(SupportBox.interval(max(c - 0.5 / n, -1.0), min(c + 0.5 / n, 1.0)) for c in node)
+            coords = tuple(map(dense.pick, box))
+            eager[key] = coords if dim > 1 else coords[0]
         picked = len(picks)
         lazy = {key: scheme.anchor(n, key) for key in _keys(scheme.family(n))}
         read = {j for key in eager for j in key}  # one pick per distinct axis index read
@@ -530,16 +580,19 @@ def test_lazy_anchors_equal_the_eager_picks(monkeypatch):
     scheme = sorgenfrey_scheme(n_max=8)
     for n in (3, 8):
         anchors = {key: scheme.anchor(n, key) for key in _keys(scheme.family(n))}
-        assert anchors == {key: dense.pick((SupportBox.interval(key[0] / n, (key[0] + 1) / n, closed_hi=False),)) for key in _keys(scheme.family(n))}
+        assert anchors == {key: dense.pick(SupportBox.interval(key[0] / n, (key[0] + 1) / n, closed_hi=False)) for key in _keys(scheme.family(n))}
         with pytest.raises(KeyError):
             scheme.anchor(n, (n + 2,))
 
 
-def _node_box(lo: float, hi: float, n: int, key: tuple) -> tuple:
-    """A key's anchor region when each key made its own pick: the closed box
-    of radius 1/(2n) around its node, clipped to the grid's box."""
+def _node_pick(dense, lo: float, hi: float, n: int, key: tuple):
+    """A key's anchor when each key made its own pick: the dense set's pick on
+    each axis of the closed box of radius 1/(2n) around its node, clipped to
+    the grid's box; bare in dim 1."""
     r = 0.5 / n
-    return tuple(SupportBox.interval(max(c - r, lo), min(c + r, hi)) for c in (lo + j / n for j in key))
+    box = tuple(SupportBox.interval(max(c - r, lo), min(c + r, hi)) for c in (lo + j / n for j in key))
+    coords = tuple(map(dense.pick, box))
+    return coords if len(coords) > 1 else coords[0]
 
 
 def _bits(anchor) -> tuple:
@@ -566,12 +619,11 @@ def test_per_axis_anchors_equal_the_per_key_picks(monkeypatch, dim, box):
             keys.update(dict.fromkeys(scheme.family(n).active_keys(x if dim > 1 else x[0])))
         before = len(picks)
         for key in keys:
-            assert _bits(scheme.anchor(n, key)) == _bits(dense.pick(_node_box(lo, hi, n, key))), (n, key)
+            assert _bits(scheme.anchor(n, key)) == _bits(_node_pick(dense, lo, hi, n, key)), (n, key)
         # each axis index read is picked once, whichever axis and key read it
         read = {j for key in keys for j in key}
         assert len(picks) - before == len(read)
-        assert len({(region[0].lo, region[0].hi) for region in picks[before:]}) == len(read)
-        assert all(len(region) == 1 for region in picks[before:])
+        assert len({(interval.lo, interval.hi) for interval in picks[before:]}) == len(read)
 
 
 @pytest.mark.parametrize("kind", ["grid", "sorgenfrey"])
