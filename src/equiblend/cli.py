@@ -22,7 +22,6 @@ from .harness import (
     load_scenario_file,
     render_csv,
     render_json,
-    report_data,
     run_scenario,
     suite_data,
 )
@@ -35,14 +34,17 @@ def _parse_schedule(text: str) -> list:
         raise ConfigError(f"bad schedule {text!r}: {exc}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
+def _emit(args, reports: list, data: dict) -> int:
+    """Write the report ``data`` of ``reports`` in ``args.format``; its exit code."""
+    text = render_csv(reports) if args.format == "csv" else render_json(data)
+    if args.out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise ConfigError(f"cannot write {out}: {exc}") from exc
+            raise ConfigError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
+    return 0 if data["summary"]["all_passed"] else 1
 
 
 def _cmd_run(args) -> int:
@@ -56,11 +58,7 @@ def _cmd_run(args) -> int:
         # re-parse so overrides pass the same checks as scenario files
         scenario = Scenario.from_dict({**scenario.config, **overrides})
     report = run_scenario(scenario)
-    if args.format == "csv":
-        _emit(render_csv([report]), args.out)
-    else:
-        _emit(render_json(report_data(report)), args.out)
-    return 0 if report.summary["all_passed"] else 1
+    return _emit(args, [report], report)
 
 
 def _cmd_suite(args) -> int:
@@ -78,12 +76,7 @@ def _cmd_suite(args) -> int:
             scenario.scheme = schemes.setdefault(repr(scenario.scheme.describe()), scenario.scheme)
     del schemes  # so a scheme, and a scenario, is freed once the last scenario that reads it has run
     reports = [run_scenario(scenarios.pop(0)) for _ in files]
-    data = suite_data(reports)
-    if args.format == "csv":
-        _emit(render_csv(reports), args.out)
-    else:
-        _emit(render_json(data), args.out)
-    return 0 if data["summary"]["all_passed"] else 1
+    return _emit(args, reports, suite_data(reports))
 
 
 def _cmd_list(args) -> int:

@@ -392,21 +392,10 @@ def in_core(x: FinSeq, n: int) -> bool:
     return x.sup_abs <= 1.0 / max(n, x.top_index)
 
 
-def _dist_amplitude(x: FinSeq, m: int) -> float:
-    return max(0.0, x.sup_abs - 1.0 / m)
-
-
 def _dist_supported(x: FinSeq, k: int) -> float:
     # subtracting 1/k rounds monotonically, so the largest head excess is
     # the head's sup minus 1/k
     return max(0.0, x.tail_sup(k), x.head_sup(k) - 1.0 / k)
-
-
-def _dist_layer(x: FinSeq, n: int, m: int) -> float:
-    d = _dist_amplitude(x, m)
-    for k in range(n, m + 1):
-        d = min(d, _dist_supported(x, k))
-    return d
 
 
 def ambiguity_gap(x: FinSeq, n: int) -> float:
@@ -419,8 +408,11 @@ def ambiguity_gap(x: FinSeq, n: int) -> float:
     if in_core(x, n):
         return 0.0
     best = 0.0
+    supported = math.inf  # the least _dist_supported(x, k) over k in n..m, kept as m grows
     for m in range(n, n + 4096):
-        t = min(2.0 ** -m, _dist_layer(x, n, m))
+        supported = min(supported, _dist_supported(x, m))
+        # the distance to layer m, the amplitude ball sup <= 1/m joined with those supported balls
+        t = min(2.0 ** -m, max(0.0, x.sup_abs - 1.0 / m), supported)
         if t > best:
             best = t
         if best > 0.0 and 2.0 ** -(m + 1) <= best:

@@ -360,21 +360,6 @@ def load_scenario_file(path) -> Scenario:
 # running
 
 
-class ProbeRecord:
-    __slots__ = ("x", "y", "target", "terms", "gaps", "passed", "final_gap")  # a report record's keys, in order
-
-    def __init__(self, x, y, target: float, terms: tuple, gaps: tuple, passed: bool, final_gap: float):
-        self.x, self.y = x, y  # raw probe specs, echoed
-        self.target, self.terms, self.gaps, self.passed, self.final_gap = target, terms, gaps, passed, final_gap
-
-
-class ScenarioReport:
-    __slots__ = ("scenario", "records", "summary")
-
-    def __init__(self, scenario: dict, records: tuple, summary: dict):
-        self.scenario, self.records, self.summary = scenario, records, summary
-
-
 def _run_levels(scenario: Scenario, term_at, target):
     """Per probe, the level terms term_at(n)(x, y) along the schedule, and
     the probes' targets."""
@@ -416,42 +401,37 @@ OPERATORS = {
 }
 
 
-def run_scenario(scenario: Scenario) -> ScenarioReport:
+def run_scenario(scenario: Scenario) -> dict:
+    """The scenario's report, as the JSON data that ``render_json`` writes."""
     config = scenario.config
     per_probe, targets = OPERATORS[config["operator"]].run(scenario)
     records = []
     for raw, terms, target in zip(config["probes"], per_probe, targets):
         passed, gaps, final_gap = tail_check(terms, target, config["eps"])
         records.append(
-            ProbeRecord(
-                x=raw["x"],
-                y=raw["y"],
-                target=float(target),
-                terms=tuple(map(float, terms)),
-                gaps=gaps,
-                passed=passed,
-                final_gap=float(final_gap),
-            )
+            {
+                "x": raw["x"],  # the raw probe specs, echoed
+                "y": raw["y"],
+                "target": float(target),
+                "terms": tuple(map(float, terms)),
+                "gaps": gaps,
+                "passed": passed,
+                "final_gap": float(final_gap),
+            }
         )
-    summary = _summary(len(records), sum(1 for r in records if r.passed))
-    return ScenarioReport(scenario=config, records=tuple(records), summary=summary)
+    summary = _summary(len(records), sum(1 for r in records if r["passed"]))
+    return {"scenario": config, "records": records, "summary": summary}
 
 
 def _summary(probes: int, passed: int) -> dict:
     return {"probes": probes, "passed": passed, "failed": probes - passed, "all_passed": passed == probes}
 
 
-def report_data(report: ScenarioReport) -> dict:
-    records = [{name: getattr(r, name) for name in ProbeRecord.__slots__} for r in report.records]
-    return {"scenario": report.scenario, "records": records, "summary": report.summary}
-
-
-def suite_data(reports: Sequence[ScenarioReport]) -> dict:
-    reports = list(reports)
-    probes = sum(r.summary["probes"] for r in reports)
-    passed = sum(r.summary["passed"] for r in reports)
+def suite_data(reports: Sequence[dict]) -> dict:
+    probes = sum(r["summary"]["probes"] for r in reports)
+    passed = sum(r["summary"]["passed"] for r in reports)
     return {
-        "scenarios": [report_data(r) for r in reports],
+        "scenarios": reports,
         "summary": {"scenarios": len(reports), **_summary(probes, passed)},
     }
 
@@ -515,13 +495,13 @@ def _cell(value) -> str:
     return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
-def render_csv(reports: Sequence[ScenarioReport]) -> str:
+def render_csv(reports: Sequence[dict]) -> str:
     import csv  # here, not at the top: only --format csv pays for its import
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["scenario", "probe", "x", "y", "target", "passed", "final_gap", "last_term"])
     for report in reports:
-        name = report.scenario["name"]
-        for index, r in enumerate(report.records):
-            writer.writerow([name, index, *(_cell(v) for v in (r.x, r.y, r.target, r.passed, r.final_gap, r.terms[-1]))])
+        name = report["scenario"]["name"]
+        for index, r in enumerate(report["records"]):
+            writer.writerow([name, index, *(_cell(v) for v in (r["x"], r["y"], r["target"], r["passed"], r["final_gap"], r["terms"][-1]))])
     return buffer.getvalue()

@@ -31,7 +31,7 @@ TARGET_LEVELS = 4096
 
 
 class BaireTower:
-    """A pointwise-limit tower of depth 0, 1 or 2.
+    """A pointwise-limit tower of any finite depth.
 
     Depth 0 is a single function (``limit_eval``); depth d >= 1 adds
     ``tower(n)``, the depth-(d-1) stage whose limits approximate
@@ -41,8 +41,8 @@ class BaireTower:
     __slots__ = ("depth", "limit_eval", "tower")
 
     def __init__(self, depth: int, limit_eval: Callable, tower: Callable[[int], BaireTower] | None = None):
-        if depth not in (0, 1, 2):
-            raise ValueError("tower depth must be 0, 1 or 2")
+        if type(depth) is not int or depth < 0:
+            raise ValueError(f"tower depth must be an integer >= 0, got {depth!r}")
         if depth == 0 and tower is not None:
             raise ValueError("depth-0 towers carry no stages")
         if depth > 0 and tower is None:

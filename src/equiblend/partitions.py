@@ -310,7 +310,16 @@ def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
         "domain": [lo, hi],
         "n_max": int(n_max),
     }
-    return AnchoredScheme(n_max, lambda a, x, r: x <= a < x + r, dense.tag, build_level, describe)
+    return AnchoredScheme(n_max, lambda a, x, r: x <= a and _below_sum(a, x, r), dense.tag, build_level, describe)
+
+
+def _below_sum(a: float, x: float, r: float) -> bool:
+    """Whether a < x + r exactly.  Every float other than the rounded sum s
+    lies on the same side of s and of x + r, so only a == s needs the sign
+    of the rounding error, which TwoSum gives exactly."""
+    s = x + r
+    t = s - x
+    return a < s or a == s and (x - (s - t)) + (r - t) > 0
 
 
 def verify_anchoring(scheme: AnchoredScheme, x, radius: float) -> int:

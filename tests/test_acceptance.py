@@ -202,14 +202,14 @@ def test_criterion_blend_convergence():
     def check():
         grid = _run("blend_grid.json")
         sorg = _run("blend_sorgenfrey.json")
-        assert grid.summary["all_passed"]
-        assert sorg.summary["all_passed"]
-        assert grid.summary["probes"] >= 30
+        assert grid["summary"]["all_passed"]
+        assert sorg["summary"]["all_passed"]
+        assert grid["summary"]["probes"] >= 30
         for rep in (grid, sorg):
-            origin = [r for r in rep.records if r.x == 0 and r.y == 0]
+            origin = [r for r in rep["records"] if r["x"] == 0 and r["y"] == 0]
             assert origin, "the probe list keeps an origin probe"
             for rec in origin:
-                assert all(g == 0.0 for g in rec.gaps)
+                assert all(g == 0.0 for g in rec["gaps"])
 
     _criterion("blend terms converge on the probe suite", check)
 
@@ -221,11 +221,11 @@ def test_criterion_anchor_equivalence():
     def check():
         blend = _run("blend_sorgenfrey.json")
         anchored = _run("anchor_sorgenfrey.json")
-        assert anchored.summary["all_passed"]
-        assert len(blend.records) == len(anchored.records)
-        for rb, ra in zip(blend.records, anchored.records):
-            assert (rb.x, rb.y) == (ra.x, ra.y)
-            assert rb.terms == ra.terms  # bit-for-bit, not approximately
+        assert anchored["summary"]["all_passed"]
+        assert len(blend["records"]) == len(anchored["records"])
+        for rb, ra in zip(blend["records"], anchored["records"]):
+            assert (rb["x"], rb["y"]) == (ra["x"], ra["y"])
+            assert rb["terms"] == ra["terms"]  # bit-for-bit, not approximately
 
     _criterion("anchored pieces equal blends on half open tiles", check)
 
@@ -253,7 +253,7 @@ def test_criterion_glued_limits():
             stage = inst.cells[0].tower.tower(n).limit_eval(y)
             assert term(left_core, y) == stage
         amb = _run("ambiguous_two_cell.json")
-        assert amb.summary["all_passed"]
+        assert amb["summary"]["all_passed"]
 
     _criterion("glued limits with exact star values", check)
 

@@ -14,7 +14,7 @@ from fuzzing import FUZZ, json_values
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from equiblend.harness import OPERATORS, REGISTRY, SCENARIO_KEYS, ConfigError, Scenario, render_csv, render_json, report_data, run_scenario
+from equiblend.harness import OPERATORS, REGISTRY, SCENARIO_KEYS, ConfigError, Scenario, render_csv, render_json, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(SCENARIO_DIR.glob("*.json"))]
@@ -127,5 +127,5 @@ def test_a_registry_scenario_runs_to_a_report_or_is_a_config_error(data):
     except ConfigError:
         return
     report = run_scenario(scenario)
-    assert json.loads(render_json(report_data(report)))["summary"] == report.summary
+    assert json.loads(render_json(report))["summary"] == report["summary"]
     assert len(render_csv([report]).splitlines()) == 1 + len(data["probes"])

@@ -379,6 +379,32 @@ def test_core_and_supported_distance_at_adversarial_floats():
     assert checked == 6912
 
 
+def _rescan_ambiguity_gap(x: FinSeq, n: int) -> float:
+    # ambiguity_gap as it was first written: each layer m's distance takes
+    # its minimum over the supported balls n..m afresh
+    if in_core(x, n):
+        return 0.0
+    best = 0.0
+    for m in range(n, n + 4096):
+        d = max(0.0, x.sup_abs - 1.0 / m)
+        for k in range(n, m + 1):
+            d = min(d, _dist_supported(x, k))
+        best = max(best, min(2.0 ** -m, d))
+        if best > 0.0 and 2.0 ** -(m + 1) <= best:
+            return best
+    raise GalleryError("gap iteration failed to separate the point from the core layers")
+
+
+def test_ambiguity_gap_equals_the_rescanning_loop_bit_for_bit():
+    checked = 0
+    for n in (1, 2, 3, 5, 10):
+        for x in _adversarial_finseqs(n):
+            for m in range(max(1, n - 1), n + 2):
+                assert ambiguity_gap(x, m).hex() == _rescan_ambiguity_gap(x, m).hex(), (x.entries, m)
+            checked += 1
+    assert checked == 6912
+
+
 def test_shell_memberships():
     x = FinSeq.from_list([0.0, 0.25])  # top 2, sup 1/4
     assert in_open_ball(x, 2)  # 0.25 < 1/(2-1/2)

@@ -38,7 +38,6 @@ from equiblend.harness import (
     load_scenario_file,
     render_csv,
     render_json,
-    report_data,
     run_scenario,
     suite_data,
 )
@@ -170,7 +169,7 @@ def test_operator_table_decides_what_parses(operator, kind, scheme):
             Scenario.from_dict(d)
         return
     rep = run_scenario(Scenario.from_dict(d))
-    assert rep.summary["probes"] == 1
+    assert rep["summary"]["probes"] == 1
 
 
 def test_sequential_probe_spelling():
@@ -212,7 +211,7 @@ def test_rational_y_at_the_bound_runs():
     # is a node of every level here, so each term is its anchor's section
     y = {"rational": [2 * (MAX_STAGE - 1), 2]}
     data = _minimal_dict(function="sine_sum", probes=[{"x": 0.5, "y": y}], schedule=[2, 4, 8])
-    report = report_data(run_scenario(Scenario.from_dict(data)))
+    report = run_scenario(Scenario.from_dict(data))
     assert report["summary"]["all_passed"]
 
 
@@ -250,7 +249,7 @@ def test_a_grid_level_of_a_million_parses_and_passes():
         probes=[{"x": x, "y": 0.5} for x in xs],
         schedule=[256, 512, 10**6],
     )
-    assert report_data(run_scenario(Scenario.from_dict(data)))["summary"]["all_passed"]
+    assert run_scenario(Scenario.from_dict(data))["summary"]["all_passed"]
 
 
 def test_schedule_must_increase():
@@ -275,11 +274,11 @@ def test_load_scenario_file_errors(tmp_path):
 def test_constant_blend_runs_exact():
     sc = Scenario.from_dict(_minimal_dict())
     rep = run_scenario(sc)
-    assert rep.summary["all_passed"]
-    (rec,) = rep.records
-    assert rec.target == 0.5
-    assert rec.terms == (0.5, 0.5, 0.5)
-    assert rec.final_gap == 0.0
+    assert rep["summary"]["all_passed"]
+    (rec,) = rep["records"]
+    assert rec["target"] == 0.5
+    assert rec["terms"] == (0.5, 0.5, 0.5)
+    assert rec["final_gap"] == 0.0
 
 
 def test_tower_tail_levels_are_bounded():
@@ -301,7 +300,7 @@ def test_ambiguous_scenario_converges_on_cores():
         }
     )
     rep = run_scenario(sc)
-    assert rep.summary == {"probes": 3, "passed": 3, "failed": 0, "all_passed": True}
+    assert rep["summary"] == {"probes": 3, "passed": 3, "failed": 0, "all_passed": True}
 
 
 def test_failing_probe_is_reported_not_raised():
@@ -315,8 +314,8 @@ def test_failing_probe_is_reported_not_raised():
         )
     )
     rep = run_scenario(sc)
-    assert not rep.summary["all_passed"]
-    assert rep.summary["failed"] == 1
+    assert not rep["summary"]["all_passed"]
+    assert rep["summary"]["failed"] == 1
 
 
 def test_bilinear_ratio_where_both_squares_underflow():
@@ -343,15 +342,15 @@ def test_bilinear_ratio_blend_runs_at_overflowing_probes():
     scheme = {"kind": "grid", "dim": 1, "lo": -1e15, "hi": 1e15}
     probes = [{"x": 1e15, "y": 1e300}, {"x": 1e15, "y": 1e15}]
     rep = run_scenario(Scenario.from_dict(_minimal_dict(function="bilinear_ratio", scheme=scheme, probes=probes, schedule=[1, 2, 4])))
-    assert all(math.isfinite(t) for r in rep.records for t in r.terms)
-    assert json.loads(render_json(report_data(rep)))["records"][1]["target"] == 1.0
+    assert all(math.isfinite(t) for r in rep["records"] for t in r["terms"])
+    assert json.loads(render_json(rep))["records"][1]["target"] == 1.0
 
 
 @pytest.mark.parametrize("probe", [{"x": 1e-300, "y": 0.0}, {"x": 0.5, "y": 1e-300}], ids=["target", "term_at_anchor_0"])
 def test_bilinear_ratio_blend_runs_at_underflowing_probes(probe):
     scheme = {"kind": "grid", "dim": 1, "lo": -1.0, "hi": 1.0}
     rep = run_scenario(Scenario.from_dict(_minimal_dict(function="bilinear_ratio", scheme=scheme, probes=[probe])))
-    assert rep.summary["all_passed"]
+    assert rep["summary"]["all_passed"]
 
 
 # -------------------------------------------------------------- serialization
@@ -359,10 +358,8 @@ def test_bilinear_ratio_blend_runs_at_underflowing_probes(probe):
 
 def test_render_json_is_stable_and_roundtrips():
     sc = Scenario.from_dict(_minimal_dict())
-    rep = run_scenario(sc)
-    data = report_data(rep)
-    s1 = render_json(data)
-    s2 = render_json(report_data(run_scenario(sc)))
+    s1 = render_json(run_scenario(sc))
+    s2 = render_json(run_scenario(sc))
     assert s1 == s2
     assert s1.endswith("\n")
     back = json.loads(s1)
@@ -403,7 +400,7 @@ def test_render_json_writes_the_bytes_of_json_dumps(value):
 def test_render_json_writes_every_shipped_report_as_json_dumps():
     reports = [run_scenario(load_scenario_file(path)) for path in sorted(SCENARIO_DIR.glob("*.json"))]
     for report in reports:
-        assert render_json(report_data(report)) == _dumps(report_data(report))
+        assert render_json(report) == _dumps(report)
     assert render_json(suite_data(reports)) == _dumps(suite_data(reports))
 
 
@@ -427,7 +424,7 @@ def test_float_formatting_roundtrips_exactly():
         _minimal_dict(probes=[{"x": 0.1, "y": 0.2}], schedule=[1, 2, 4])
     )
     rep = run_scenario(sc)
-    back = json.loads(render_json(report_data(rep)))
+    back = json.loads(render_json(rep))
     assert back["records"][0]["x"] == 0.1
     assert back["records"][0]["target"] == 0.5
 
@@ -453,9 +450,9 @@ def test_render_csv_shape():
 def test_empty_probe_list_yields_a_vacuous_report():
     sc = Scenario.from_dict(_minimal_dict(probes=[]))
     rep = run_scenario(sc)
-    assert rep.records == ()
-    assert rep.summary == {"probes": 0, "passed": 0, "failed": 0, "all_passed": True}
-    assert json.loads(render_json(report_data(rep)))["records"] == []
+    assert rep["records"] == []
+    assert rep["summary"] == {"probes": 0, "passed": 0, "failed": 0, "all_passed": True}
+    assert json.loads(render_json(rep))["records"] == []
     assert render_csv([rep]).strip().split("\n") == [
         "scenario,probe,x,y,target,passed,final_gap,last_term"
     ]
@@ -466,7 +463,7 @@ def test_csv_and_json_agree_numerically():
         _minimal_dict(function="sine_sum", probes=[{"x": 0.3, "y": 0.7}, {"x": 0.6, "y": 0.1}])
     )
     rep = run_scenario(sc)
-    back = json.loads(render_json(report_data(rep)))
+    back = json.loads(render_json(rep))
     rows = render_csv([rep]).strip().split("\n")[1:]
     assert len(rows) == len(back["records"])
     for row, rec in zip(rows, back["records"]):
@@ -600,6 +597,29 @@ def test_cli_suite_shares_a_scheme_only_between_equal_configs(tmp_path, monkeypa
     code, stdout, stderr = in_process_main("suite", str(tmp_path), "--out", str(tmp_path / "report"))
     assert (code, stdout, stderr) == (0, "", "")
     assert builds == [("grid", n) for n in (1, 2, 4, 1, 2, 4, 8)]
+
+
+RECORD_KEYS = ("x", "y", "target", "terms", "gaps", "passed", "final_gap")
+ONE_SCENARIO_PER_OPERATOR = {
+    "lambda_blend": "blend_grid.json",
+    "piecewise_anchor": "anchor_sorgenfrey.json",
+    "ambiguous_limit": "ambiguous_two_cell.json",
+    "tower_tail": "fan_towers.json",
+}
+
+
+@pytest.mark.parametrize("operator", sorted(ONE_SCENARIO_PER_OPERATOR))
+def test_a_report_is_the_data_the_cli_writes(tmp_path, in_process_main, operator):
+    # run_scenario's dict literal alone fixes a record's keys and their order
+    path = SCENARIO_DIR / ONE_SCENARIO_PER_OPERATOR[operator]
+    report = run_scenario(load_scenario_file(path))
+    assert report["scenario"]["operator"] == operator
+    assert tuple(report) == ("scenario", "records", "summary")
+    assert report["records"] and [tuple(r) for r in report["records"]] == [RECORD_KEYS] * len(report["records"])
+    for fmt, text in (("json", render_json(report)), ("csv", render_csv([report]))):
+        out = tmp_path / f"report.{fmt}"
+        assert in_process_main("run", str(path), "--format", fmt, "--out", str(out)) == (0, "", "")
+        assert out.read_bytes() == text.encode("utf-8")
 
 
 def test_cli_reports_match_the_benchmark_reference_digests(tmp_path, monkeypatch, in_process_main):
@@ -1042,7 +1062,7 @@ def test_the_finest_level_is_bounded_by_the_float_resolution_of_the_box():
     # math.ulp(1.0) is 2**-52: on [-1, 1] a mesh wider than that parses and
     # runs, and a mesh no wider is a configuration error
     box = {"scheme": {"kind": "grid", "dim": 1, "lo": -1.0, "hi": 1.0}, "probes": [{"x": 0.25, "y": 0.5}, {"x": 1.0, "y": 0.5}]}
-    report = report_data(run_scenario(Scenario.from_dict(_minimal_dict(**box, schedule=[1, 2, 2**51]))))
+    report = run_scenario(Scenario.from_dict(_minimal_dict(**box, schedule=[1, 2, 2**51])))
     assert report["summary"]["all_passed"]
     with pytest.raises(ConfigError, match="finer than the floats resolve") as info:
         Scenario.from_dict(_minimal_dict(**box, schedule=[1, 2, 2**52]))

@@ -32,12 +32,22 @@ from equiblend.partitions import SupportBox, grid_scheme, sorgenfrey_scheme
 
 
 def test_tower_depth_validation():
-    with pytest.raises(ValueError):
-        BaireTower(depth=3, limit_eval=lambda y: 0.0)
+    for depth in (-1, 1.5, True):
+        with pytest.raises(ValueError):
+            BaireTower(depth=depth, limit_eval=lambda y: 0.0, tower=lambda n: None)
     with pytest.raises(ValueError):
         BaireTower(depth=1, limit_eval=lambda y: 0.0)  # depth>0 needs stages
     with pytest.raises(ValueError):
         BaireTower(depth=0, limit_eval=lambda y: 0.0, tower=lambda n: None)
+    # any finite depth: stage n of this depth-3 tower is the depth-2
+    # Dirichlet tower, whose limit is the tower's own, so every level is exact
+    stage = dirichlet_tower()
+    tower = BaireTower(depth=3, limit_eval=stage.limit_eval, tower=lambda n: stage)
+    for y, value in ((TaggedReal.rational(2, 3), 1.0), (TaggedReal.irrational(2.0**0.5), 0.0)):
+        report = tower_tail(tower, y, schedule=(1, 2, 4, 8), eps=0.0)
+        assert report.passed
+        assert report.target == value
+        assert report.terms == (value,) * 4
 
 
 def test_tail_check_windows():

@@ -278,6 +278,18 @@ def test_anchoring_neighborhood_boundaries():
     with pytest.raises(AnchoringError):
         verify_anchoring(sorgenfrey, 0.25, 0.25)
     assert verify_anchoring(sorgenfrey, 0.25, 0.3) == 2
+    # x + r is decided exactly, not by the rounded sum: with r one ulp above
+    # 1/4 the sum rounds down to 1/2, which lies below it; one ulp below,
+    # the sum rounds up to 1/2, which lies above it
+    up, down = math.nextafter(0.25, math.inf), math.nextafter(0.25, 0.0)
+    assert 0.25 + up == 0.25 + down == 0.5
+    assert sorgenfrey.neighborhood(0.5, 0.25, up)
+    assert not sorgenfrey.neighborhood(0.5, 0.25, down)
+    assert verify_anchoring(sorgenfrey, 0.25, up) == 2
+    # an anchor at a representable x + r that is no power of two stays out
+    assert 0.125 + 0.25 == 0.375
+    assert not sorgenfrey.neighborhood(0.375, 0.125, 0.25)
+    assert sorgenfrey.neighborhood(math.nextafter(0.375, 0.0), 0.125, 0.25)
     # grid: the open ball, so an anchor at distance exactly r does not count;
     # at x = 3/8 the level-4 anchors are 1/4 and 1/2, both 1/8 away
     grid = grid_scheme(1, (0.0, 1.0), n_max=4)
