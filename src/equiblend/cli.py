@@ -10,7 +10,6 @@ from __future__ import annotations
 import gc
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from .harness import (
@@ -39,7 +38,8 @@ def _emit(args, reports: list, data: dict) -> int:
     text = render_csv(reports) if args.format == "csv" else render_json(data)
     if args.out:
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write {args.out}: {exc}") from exc
     else:
@@ -62,10 +62,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    directory = Path(args.directory)
-    try:  # the names Path.glob("*.json") matches, without compiling its pattern
-        files = [directory / name for name in sorted(os.listdir(directory)) if name.endswith(".json")]
-    except OSError:  # no directory there, which Path.glob reads as no match
+    directory = args.directory
+    try:  # the names glob's "*.json" matches, dotfiles included, without compiling a pattern
+        files = [os.path.join(directory, name) for name in sorted(os.listdir(directory)) if name.endswith(".json")]
+    except OSError:  # no directory there, which glob reads as no match
         files = []
     if not files:
         raise ConfigError(f"no scenario files (*.json) in {directory}")

@@ -17,6 +17,7 @@ import math
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .connectors import Contraction, straight_line_contraction
 from .operators import AmbiguousCell, BaireTower, SectionedFunction, ambiguous_limit, ambiguous_target
@@ -99,27 +100,18 @@ def dirichlet_value(y) -> float:
 # rational enumeration and the spike tower
 
 
-def _rational_stream():
-    yield Fraction(0)
+def _rational_pairs():
+    """(p, q) of the enumeration, in order: 0, then for s = 2, 3, ... block s
+    lists k/(s-k) and -k/(s-k) for each k < s prime to s (gcd(k, s-k) =
+    gcd(k, s)), reduced, so it holds 2*phi(s) entries."""
+    yield 0, 1
     s = 2
     while True:
         for p in range(1, s):
-            q = s - p
-            if math.gcd(p, q) == 1:
-                yield Fraction(p, q)
-                yield Fraction(-p, q)
+            if math.gcd(p, s) == 1:
+                yield p, s - p
+                yield -p, s - p
         s += 1
-
-
-_RATIONAL_GEN = _rational_stream()
-_RATIONAL_CACHE: list = []
-
-
-def _rationals(count: int) -> list:
-    """_RATIONAL_CACHE, holding at least ``count`` terms."""
-    while len(_RATIONAL_CACHE) < count:
-        _RATIONAL_CACHE.append(next(_RATIONAL_GEN))
-    return _RATIONAL_CACHE
 
 
 def _order(frac: Fraction) -> tuple:
@@ -135,44 +127,47 @@ def rational_prefix(count: int) -> tuple:
     count = int(count)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    return tuple(_rationals(count)[:count])
+    return tuple(Fraction(p, q) for p, q in islice(_rational_pairs(), count))
+
+
+def _totients(bound: int) -> list:
+    """phi(s) for s below ``bound``, by a sieve."""
+    phi = list(range(bound))
+    for i in range(2, bound):
+        if phi[i] == i:  # i is prime
+            phi[i::i] = [v - v // i for v in phi[i::i]]
+    return phi
 
 
 def rational_enumeration(n: int) -> TaggedReal:
     """The n-th rational of the fixed enumeration, 1-based, as a tagged
-    value with its exact fraction."""
+    value with its exact fraction: the blocks before it are counted by
+    their 2*phi(s) entries, then its block is walked, so nothing is kept.
+    Moebius inversion gives 2*(phi(1) + ... + phi(N)) >= (2 - pi^2/6)*N^2,
+    so the blocks below 2*isqrt(n) + 4 hold more than n entries."""
     n = int(n)
     if n < 1:
         raise ValueError("enumeration index starts at 1")
-    frac = _rationals(n)[n - 1]
-    return TaggedReal.rational(frac.numerator, frac.denominator)
-
-
-@lru_cache(maxsize=None)
-def _center_floats(n: int) -> tuple:
-    return tuple(float(r) for r in rational_prefix(n))
+    rest, s, phi = n - 2, 2, _totients(2 * math.isqrt(n) + 4)
+    while rest >= 2 * phi[s]:
+        rest -= 2 * phi[s]
+        s += 1
+    p = 0 if rest < 0 else [k for k in range(1, s) if math.gcd(k, s) == 1][rest // 2]
+    return TaggedReal.rational(-p if rest % 2 else p, s - p if p else 1)
 
 
 def _enumeration_index(frac: Fraction) -> int:
-    """1-based position of a reduced fraction p/q in the enumeration.
-
-    After 0, block s = 2, 3, ... lists k/(s-k) and -k/(s-k) for each k < s
-    prime to s (gcd(k, s-k) = gcd(k, s)), so it holds 2*phi(s) entries.  A
-    totient sieve below s = |p|+q counts the earlier blocks, so the cost is
-    O(s), and s is at most the index.
-    """
+    """1-based position of a reduced fraction p/q in the enumeration: a totient
+    sieve below s = |p|+q counts the earlier blocks, in O(s), and s <= the index."""
     p = abs(frac.numerator)
     s = p + frac.denominator
     if p == 0:
         return 1
-    phi = list(range(s))
-    for i in range(2, s):
-        if phi[i] == i:  # i is prime
-            phi[i::i] = [v - v // i for v in phi[i::i]]
-    before = sum(phi[2:]) + sum(1 for k in range(1, p) if math.gcd(k, s) == 1)
+    before = sum(_totients(s)[2:]) + sum(1 for k in range(1, p) if math.gcd(k, s) == 1)
     return 2 + 2 * before + (frac < 0)
 
 
+@lru_cache(maxsize=256)  # a fan's probes read the stages of one schedule; bounded, unlike a prefix cache
 def _finite_indicator(n: int) -> Callable:
     """Indicator of the first n enumerated rationals: a rational is among
     them when its key is at most the n-th rational's."""
@@ -188,8 +183,8 @@ def _finite_indicator(n: int) -> Callable:
 def _tent_sum(n: int, m: int, v: float) -> float:
     # continuous stage: unit tents of half-width 1/m at the first n spikes
     total = 0.0
-    for c in _center_floats(n):
-        total += max(0.0, 1.0 - m * abs(v - c))
+    for p, q in islice(_rational_pairs(), n):  # p / q has the bits of float(Fraction(p, q))
+        total += max(0.0, 1.0 - m * abs(v - p / q))
         if total >= 1.0:
             return 1.0
     return total

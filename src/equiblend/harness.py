@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -119,7 +120,8 @@ def _grid(cfg: dict, schedule: list) -> tuple:
     # that rounding by n: each axis's weight sum drifts by up to about n ulps
     limit = WEIGHT_ATOL / (2 * dim * math.ulp(max(abs(lo), abs(hi))))
     for n in schedule:
-        _require(n & (n - 1) == 0 or n <= limit, f"grid scheme level {n} is not a power of two, and its tent weights would drift past {WEIGHT_ATOL} on a dim-{dim} grid over [{lo}, {hi}]")
+        if n & (n - 1) and n > limit:
+            raise ConfigError(f"grid scheme level {n} is not a power of two, and its tent weights would drift past {WEIGHT_ATOL} on a dim-{dim} grid over [{lo}, {hi}]")
     return scheme, {"kind": "box", "dim": dim, "lo": cfg["lo"], "hi": cfg["hi"]}, lambda x: len(c := _coords(x)) == dim and all(lo <= v <= hi for v in c)
 
 
@@ -166,29 +168,31 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _finite(v) -> float | None:
+    """v as a finite float, or None when v is not a finite int or float (a bool is neither)."""
+    return float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max else None
+
+
 def _as_number(v, message: str) -> float:
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool), message)
-    try:
-        value = float(v)
-    except OverflowError:  # an int beyond the float range
-        raise ConfigError(message) from None
-    _require(math.isfinite(value), message)
+    if (value := _finite(v)) is None:
+        raise ConfigError(message)
     return value
 
 
 def _parse_y(spec) -> TaggedReal:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return TaggedReal.plain(_as_number(spec, f"y must be a finite number, got {spec!r}"))
+        if (value := _finite(spec)) is None:
+            raise ConfigError(f"y must be a finite number, got {spec!r}")
+        return TaggedReal.plain(value)
     if isinstance(spec, dict) and len(spec) == 1:
         if "rational" in spec:
             pq = spec["rational"]
-            _require(
-                isinstance(pq, (list, tuple)) and len(pq) == 2 and all(isinstance(v, int) and not isinstance(v, bool) for v in pq),
-                f"rational y spec needs [p, q] integers, got {pq!r}",
-            )
+            if not (isinstance(pq, (list, tuple)) and len(pq) == 2 and all(isinstance(v, int) and not isinstance(v, bool) for v in pq)):
+                raise ConfigError(f"rational y spec needs [p, q] integers, got {pq!r}")
             _require(pq[1] != 0, "rational y spec needs a nonzero denominator")
             y = _build("rational y spec", TaggedReal.rational, pq[0], pq[1])
-            _require(abs(y.frac.numerator) + y.frac.denominator <= MAX_STAGE, f"rational y spec {pq!r}: the reduced |p| + q exceeds {MAX_STAGE}")
+            if abs(y.frac.numerator) + y.frac.denominator > MAX_STAGE:
+                raise ConfigError(f"rational y spec {pq!r}: the reduced |p| + q exceeds {MAX_STAGE}")
             return y
         if "irrational" in spec:
             return TaggedReal.irrational(_as_number(spec["irrational"], "irrational y spec needs a number"))
@@ -210,10 +214,14 @@ def _parse_x(spec, fn_kind: str):
         return _build(f"sequential spec {form!r}", SequentialPoint, kind, *indices)
     _require(fn_kind != "sequential", "sequential-fan functions need {'sequential': ...} x specs")
     if isinstance(spec, (list, tuple)):
-        values = [_as_number(v, f"bad x coordinate {v!r}") for v in spec]
+        values = [_finite(v) for v in spec]
+        if None in values:
+            raise ConfigError(f"bad x coordinate {spec[values.index(None)]!r}")
         _require(len(values) >= 1, "x spec list must be nonempty")
         return tuple(values)
-    return _as_number(spec, f"bad x spec {spec!r}")
+    if (value := _finite(spec)) is None:
+        raise ConfigError(f"bad x spec {spec!r}")
+    return value
 
 
 def _domain(cfg: dict, what: str) -> tuple:
@@ -312,10 +320,13 @@ class Scenario:
         _require(isinstance(probes_raw, list), "probes must be a list")
         parsed = []
         for index, probe in enumerate(probes_raw):
-            _require(isinstance(probe, dict) and set(probe) == {"x", "y"}, f"probe {index} must be an object with keys x and y")
+            if not (isinstance(probe, dict) and set(probe) == {"x", "y"}):
+                raise ConfigError(f"probe {index} must be an object with keys x and y")
             x = _parse_x(probe["x"], spec.kind)
-            _require(contains is None or contains(x), f"probe {index}: x {probe['x']!r} lies outside the scheme's domain")
-            _require(not isinstance(x, tuple) or not spec.scalar_x, f"probe {index}: {fn_name} takes a scalar x, not {probe['x']!r}")
+            if not (contains is None or contains(x)):
+                raise ConfigError(f"probe {index}: x {probe['x']!r} lies outside the scheme's domain")
+            if isinstance(x, tuple) and spec.scalar_x:
+                raise ConfigError(f"probe {index}: {fn_name} takes a scalar x, not {probe['x']!r}")
             parsed.append((x, _parse_y(probe["y"])))
         function = spec.make()
         if operator == "tower_tail":

@@ -83,25 +83,19 @@ class _KeyView:
 class BumpFamily:
     """An indexed family of bumps with declared supports: key k's support is
     the product of the intervals ``interval(j)`` for j in k, and its bump the
-    product of the axis weights ``weight(j, v)`` at the point's coordinates.
+    product of the axis weights at the point's coordinates.
 
-    ``weight(j, v)`` is only called for v in ``interval(j)``; a bump counts
-    as exactly 0.0 off its support, and families here are finite, so local
-    finiteness holds with the whole space as witness neighborhood.
-    ``near(v, axis)`` lists the indices of ``axis`` whose interval may hold
-    the coordinate v; a lookup tests only those.
+    ``hits(v)`` lists in index order the (j, weight) pairs of the indices j
+    whose interval holds the coordinate v, each decided by
+    ``interval(j).contains(v)``; a bump counts as exactly 0.0 off its
+    support, and families here are finite, so local finiteness holds with
+    the whole space as witness neighborhood.
     """
 
-    __slots__ = ("index_keys", "weight", "interval", "near")
+    __slots__ = ("index_keys", "hits", "interval")
 
-    def __init__(
-        self,
-        index_keys: _KeyView,
-        weight: Callable[[int, float], float],
-        interval: Callable[[int], SupportBox],
-        near: Callable[[float, range], range],
-    ):
-        self.index_keys, self.weight, self.interval, self.near = index_keys, weight, interval, near
+    def __init__(self, index_keys: _KeyView, hits: Callable[[float], list], interval: Callable[[int], SupportBox]):
+        self.index_keys, self.hits, self.interval = index_keys, hits, interval
 
     def active_keys(self, x) -> list:
         """Keys whose support holds x, in key order."""
@@ -111,16 +105,13 @@ class BumpFamily:
         """(key, bump value) over supports containing x, in key order: keys are
         the product of each axis's hits, as a support test is the conjunction of
         its intervals' tests, and values 1.0 times each hit's weight, in axis order."""
-        coords = _coords(x)
-        axes = self.index_keys.axes
-        if len(coords) != len(axes):
+        coords = (x,) if type(x) is float else _coords(x)
+        if len(coords) != len(self.index_keys.axes):
             return []
-        interval, weight, near = self.interval, self.weight, self.near
-        v, axis = coords[0], axes[0]
-        out = [((j,), weight(j, v)) for j in near(v, axis) if interval(j).contains(v)]
-        for v, axis in zip(coords[1:], axes[1:]):
-            hits = [(j, weight(j, v)) for j in near(v, axis) if interval(j).contains(v)]
-            out = [(key + (j,), w * a) for key, w in out for j, a in hits]
+        out = [((j,), w) for j, w in self.hits(coords[0])]
+        for v in coords[1:]:
+            pairs = self.hits(v)
+            out = [(key + (j,), w * a) for key, w in out for j, a in pairs]
         return out
 
     def partition_sum(self, x) -> float:
@@ -196,17 +187,17 @@ class AnchoredScheme:
         return dict(self._describe)
 
 
-def _near(origin: float, n: int, below: int, above: int):
-    """``near(v, axis)``: the indices of ``axis`` within floor(t)-below ..
-    floor(t)+above for t = (v - origin)*n; none when t is not finite."""
-    def near(v: float, axis: range) -> range:
-        t = (v - origin) * n
-        if not math.isfinite(t):
-            return range(0)
-        f = math.floor(t)
-        return range(max(f - below, axis.start), min(f + above + 1, axis.stop))
-
-    return near
+def _cell(v: float, origin: float, n: int, first: int, last: int) -> int:
+    """The k in first..last with origin + k/n <= v < origin + (k+1)/n on those
+    node floats, else the end that v lies beyond (first for nan); the rounded
+    floor((v - origin)*n) is a few steps off at most, which the loops correct."""
+    t = (v - origin) * n
+    k = first if not t >= first else last if not t < last else math.floor(t)
+    while k > first and v < origin + k / n:
+        k -= 1
+    while k < last and v >= origin + (k + 1) / n:
+        k += 1
+    return k
 
 
 class _Memo(dict):
@@ -221,19 +212,19 @@ class _Memo(dict):
         return self.setdefault(key, self.make(key))
 
 
-def _anchored_level(axes: tuple, interval, near, weight, anchor_interval, dense: DenseSet):
+def _anchored_level(axes: tuple, hits, interval, anchor_interval, dense: DenseSet):
     """One scheme level: the bump family over the keys of the product of the
     integer ranges ``axes``, and its anchors, a function of the key; nothing
     is built per key.
 
-    ``weight(j, v)`` need only be right for v in ``interval(j)``: the family
-    never calls it elsewhere.  Key k's anchor is (c(j) for j in k), bare in
-    dim 1, with c(j) the dense set's pick inside ``anchor_interval(j)``; each
-    c(j), anchor and ``interval(j)`` is made on first use and kept.
+    Key k's anchor is (c(j) for j in k), bare in dim 1, with c(j) the dense
+    set's pick inside ``anchor_interval(j)``; each anchor, c(j) and
+    ``interval(j)`` is made on first use and kept.
     ``AnchoredScheme.anchor`` rejects keys outside the level.
     """
-    coord = _Memo(lambda j: dense.pick(anchor_interval(j))).__getitem__
-    return BumpFamily(_KeyView(axes), weight, interval, near), _Memo(lambda key: coord(key[0]) if len(key) == 1 else tuple(map(coord, key))).__getitem__
+    coord = _Memo(lambda j: dense.pick(anchor_interval(j))).__getitem__  # read in dim 2 and up
+    anchor = _Memo(lambda key: tuple(map(coord, key)) if len(key) > 1 else dense.pick(anchor_interval(key[0])))
+    return BumpFamily(_KeyView(axes), hits, interval), anchor.__getitem__
 
 
 def _check_resolution(n_max, lo: float, hi: float) -> None:
@@ -269,16 +260,14 @@ def grid_scheme(dim: int, box, n_max: int = 8) -> AnchoredScheme:
         count = side * n  # nodes 0..count per axis; node j is lo + j / n
         interval = _Memo(lambda j: SupportBox(lo + max(j - 1, 0) / n, lo + min(j + 1, count) / n, True, j + 1 >= count)).__getitem__
 
-        def tent(j, v) -> float:
-            w = 1.0 - n * abs(v - (lo + j / n))
-            return w if w > 0.0 else 0.0  # the bits of max(0.0, w), -0.0 and nan included
+        def hits(v):  # v in cell k, or beyond the end cell k, lies in supports k and k + 1 only
+            k = _cell(v, lo, n, 0, count - 1)
+            return [(j, w if (w := 1.0 - n * abs(v - (lo + j / n))) > 0.0 else 0.0) for j in (k, k + 1) if interval(j).contains(v)]
 
         def node_interval(j):  # the points of the box within 1/(2n) of node j
             return SupportBox(max(lo + j / n - 0.5 / n, lo), min(lo + j / n + 0.5 / n, hi), True, True)
 
-        # nodes floor(t)-1 .. floor(t)+2 for t = (v - lo)*n: float rounding
-        # of t cannot drop a support holding v
-        return _anchored_level((range(count + 1),) * dim, interval, _near(lo, n, 1, 2), tent, node_interval, dense)
+        return _anchored_level((range(count + 1),) * dim, hits, interval, node_interval, dense)
 
     describe = {
         "kind": "grid",
@@ -301,9 +290,13 @@ def sorgenfrey_scheme(n_max: int = 8, domain=(0.0, 1.0)) -> AnchoredScheme:
 
     def build_level(n: int):
         tile = _Memo(lambda i: SupportBox.interval((i - 1) / n, i / n, closed_lo=True, closed_hi=False)).__getitem__
-        axes = (range(math.floor(lo * n) - 1, math.ceil(hi * n) + 2),)
-        # x lies in tile floor(x*n)+1, up to float rounding of x*n
-        return _anchored_level(axes, tile, _near(0.0, n, 0, 2), lambda j, v: 1.0, lambda j: tile(j + 1), dense)
+        axis = range(math.floor(lo * n) - 1, math.ceil(hi * n) + 2)
+
+        def hits(v):  # v in [k/n, (k+1)/n) lies in tile k + 1 only
+            k = _cell(v, 0.0, n, axis.start - 1, axis.stop - 2) + 1
+            return [(k, 1.0)] if tile(k).contains(v) else []
+
+        return _anchored_level((axis,), hits, tile, lambda j: tile(j + 1), dense)
 
     describe = {
         "kind": "sorgenfrey",

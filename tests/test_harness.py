@@ -226,6 +226,59 @@ def test_a_string_grid_lo_names_the_grid_scheme():
         Scenario.from_dict(_minimal_dict(scheme={"kind": "grid", "dim": 1, "lo": "-1", "hi": 1.0}))
 
 
+FAN_DICT = {"name": "fan", "function": "example1", "operator": "tower_tail", "schedule": [1, 2, 4]}
+TWO_CELL_DICT = {"name": "two", "function": "half_line_split", "operator": "ambiguous_limit", "schedule": [1, 2, 4]}
+GRID2_SINE = _minimal_dict(function="sine_sum", scheme={"kind": "grid", "dim": 2, "lo": 0.0, "hi": 1.0})
+HUGE = 10**400
+# (scenario, or {} for the minimal one behind a good probe, so the index
+# shows; the bad probe; the whole message)
+PROBE_ERRORS = [
+    ({}, 5, "probe 1 must be an object with keys x and y"),
+    ({}, {"x": 0.25}, "probe 1 must be an object with keys x and y"),
+    ({}, {"x": 0.25, "y": 0.5, "z": 1}, "probe 1 must be an object with keys x and y"),
+    ({}, {"x": 1.5, "y": 0.5}, "probe 1: x 1.5 lies outside the scheme's domain"),
+    ({}, {"x": -0.0001, "y": 0.5}, "probe 1: x -0.0001 lies outside the scheme's domain"),
+    (GRID2_SINE, {"x": [0.25, 0.5], "y": 0.5}, "probe 0: sine_sum takes a scalar x, not [0.25, 0.5]"),
+    ({}, {"x": [0.25, "a"], "y": 0.5}, "bad x coordinate 'a'"),
+    ({}, {"x": [True], "y": 0.5}, "bad x coordinate True"),
+    ({}, {"x": [0.5, HUGE, "a"], "y": 0.5}, f"bad x coordinate {HUGE}"),
+    ({}, {"x": [], "y": 0.5}, "x spec list must be nonempty"),
+    ({}, {"x": "0.3", "y": 0.5}, "bad x spec '0.3'"),
+    ({}, {"x": True, "y": 0.5}, "bad x spec True"),
+    ({}, {"x": math.inf, "y": 0.5}, "bad x spec inf"),
+    ({}, {"x": None, "y": 0.5}, "bad x spec None"),
+    ({}, {"x": 0.25, "y": math.nan}, "y must be a finite number, got nan"),
+    ({}, {"x": 0.25, "y": -HUGE}, f"y must be a finite number, got {-HUGE}"),
+    ({}, {"x": 0.25, "y": "q"}, "bad y spec 'q': expected a number, {'rational': [p, q]} or {'irrational': v}"),
+    ({}, {"x": 0.25, "y": True}, "bad y spec True: expected a number, {'rational': [p, q]} or {'irrational': v}"),
+    ({}, {"x": 0.25, "y": {"rational": [1, 0.5]}}, "rational y spec needs [p, q] integers, got [1, 0.5]"),
+    ({}, {"x": 0.25, "y": {"rational": [1, 0]}}, "rational y spec needs a nonzero denominator"),
+    ({}, {"x": 0.25, "y": {"rational": [1, 2**21]}}, "rational y spec [1, 2097152]: the reduced |p| + q exceeds 1048576"),
+    ({}, {"x": 0.25, "y": {"irrational": "x"}}, "irrational y spec needs a number"),
+    ({}, {"x": {"sequential": ["origin"]}, "y": 0.5}, "sequential x specs only apply to sequential-fan functions"),
+    (FAN_DICT, {"x": 0.25, "y": 0.5}, "sequential-fan functions need {'sequential': ...} x specs"),
+    (FAN_DICT, {"x": {"seq": ["origin"]}, "y": 0.5}, "bad x spec {'seq': ['origin']}"),
+    (FAN_DICT, {"x": {"sequential": []}, "y": 0.5}, "bad sequential spec []"),
+    (FAN_DICT, {"x": {"sequential": "origin"}, "y": 0.5}, "bad sequential spec 'origin'"),
+    (FAN_DICT, {"x": {"sequential": ["leaf", 2]}, "y": 0.5}, "bad sequential spec ['leaf', 2]"),
+    (FAN_DICT, {"x": {"sequential": ["root"]}, "y": 0.5}, "bad sequential spec ['root']"),
+    (FAN_DICT, {"x": {"sequential": ["level", 1.5]}, "y": 0.5}, "bad sequential spec ['level', 1.5]: indices must be integers"),
+    (FAN_DICT, {"x": {"sequential": ["level", 2**20 + 1]}, "y": 0.5}, "bad sequential spec: the row index exceeds 1048576"),
+    (FAN_DICT, {"x": {"sequential": ["leaf", 2, HUGE]}, "y": 0.5}, "bad sequential spec: the leaf index lies beyond the floats"),
+    (FAN_DICT, {"x": {"sequential": ["leaf", 2, 3]}, "y": 0.5}, "bad sequential spec ['leaf', 2, 3]: leaves need n >= 1 and m >= n^2"),
+    (TWO_CELL_DICT, {"x": 1e300, "y": 0.5}, "probe 0: point 1e+300 escapes every cell core up to level 4096"),
+]
+
+
+@pytest.mark.parametrize(("scenario", "probe", "message"), PROBE_ERRORS)
+def test_each_per_probe_error_has_its_exact_text(scenario, probe, message):
+    # these messages are formatted only when their check fails
+    data = {**scenario, "probes": [probe]} if scenario else _minimal_dict(probes=[{"x": 0.25, "y": 0.5}, probe])
+    with pytest.raises(ConfigError) as info:
+        Scenario.from_dict(data)
+    assert str(info.value) == message
+
+
 KIND_ROWS = [("scheme", kind) for kind in SCHEMES] + [("z_space", kind) for kind in Z_SPACES]
 
 
@@ -539,8 +592,8 @@ def test_cli_suite_reads_the_files_path_glob_matches(tmp_path, monkeypatch, in_p
     monkeypatch.setattr(cli, "load_scenario_file", lambda path: loaded.append(path) or load(SCENARIO_DIR / "blend_constant.json"))
     code, stdout, stderr = in_process_main("suite", str(tmp_path), "--out", str(tmp_path / "report"))
     assert (code, stdout, stderr) == (0, "", "")
-    assert loaded == sorted(tmp_path.glob("*.json"))
-    assert tmp_path / "folder.json" in loaded and tmp_path / ".hidden.json" in loaded
+    assert loaded == [str(path) for path in sorted(tmp_path.glob("*.json"))]  # the CLI passes path strings
+    assert str(tmp_path / "folder.json") in loaded and str(tmp_path / ".hidden.json") in loaded
     # a missing directory, or a path that is a file, holds no scenario files
     for path in (tmp_path / "missing", tmp_path / "a.json"):
         code, stdout, stderr = in_process_main("suite", str(path))
@@ -699,13 +752,14 @@ def test_cli_import_leaves_typing_unloaded(tmp_path):
     # under -S, because site's .pth hooks may import typing themselves: the
     # package takes its abstract bases from collections.abc and keeps its
     # annotations as strings.  The CLI reads argv without argparse (whose
-    # messages pull in gettext and locale), and csv loads only for --format csv
+    # messages pull in gettext and locale), reads and writes files without
+    # pathlib, and csv loads only for --format csv
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import equiblend.cli; "
         "loaded = lambda names: sorted(name for name in names if name in sys.modules); "
-        "print(loaded(['typing', 'argparse', 'gettext', 'locale', 'csv'])); "
+        "print(loaded(['typing', 'argparse', 'gettext', 'locale', 'csv', 'pathlib'])); "
         "equiblend.cli.main(['suite', sys.argv[2], '--out', sys.argv[3]]); "
-        "print(loaded(['argparse', 'locale', 'csv']))"
+        "print(loaded(['argparse', 'locale', 'csv', 'pathlib']))"
     )
     argv = [sys.executable, "-S", "-c", code, str(SCENARIO_DIR.parent / "src"), str(SCENARIO_DIR), str(tmp_path / "suite.json")]
     out = subprocess.run(argv, capture_output=True, text=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import itertools
@@ -136,15 +137,16 @@ def test_grid_supports_cover_without_slack():
 
 
 @pytest.mark.parametrize("x", [(0.3, 0.55), (0.3, 0.55, 0.125)], ids=["dim2", "dim3"])
-def test_weights_at_makes_at_most_four_interval_tests_per_axis(monkeypatch, x):
-    # a lookup tests each axis's candidate intervals, never a whole support
+def test_weights_at_makes_at_most_two_interval_tests_per_axis(monkeypatch, x):
+    # a lookup tests the two intervals per axis that can hold the
+    # coordinate, never a whole support
     dim = len(x)
     fam = grid_scheme(dim, box=(0.0, 1.0), n_max=8).family(8)
     tested = []
     contains = SupportBox.contains
     monkeypatch.setattr(SupportBox, "contains", lambda interval, v: tested.append(v) or contains(interval, v))
     weights = fam.weights_at(x)
-    assert 0 < len(tested) <= 4 * dim  # a test per candidate key took 4^dim
+    assert 0 < len(tested) <= 2 * dim  # a test per candidate key took 4^dim
     assert set(tested) <= set(x)  # each test is of one coordinate
     monkeypatch.undo()
     full_scan = [k for k in _keys(fam) if _in_support(fam, k, x)]
@@ -312,9 +314,17 @@ def test_pointwise_finiteness_bound():
 # ------------------------------------------------- candidate lookup, anchors
 
 
+def _edge_nodes(count: int) -> list:
+    """Node indices 0..count, or on a long axis its ends, its middle, its
+    thirds and a sparse stride."""
+    if count <= 600:
+        return list(range(count + 1))
+    return sorted({*range(0, count + 1, count // 16 + 1), 1, 2, count // 3, count // 2, count // 2 + 1, 2 * count // 3, count - 2, count - 1, count})
+
+
 def _edge_coords(lo: float, hi: float, n: int) -> list:
     """Nodes and their 1-ulp neighbours, the box faces and points outside."""
-    nodes = [lo + j / n for j in range(round((hi - lo) * n) + 1)]
+    nodes = [lo + j / n for j in _edge_nodes(round((hi - lo) * n))]
     near = [v for c in nodes for v in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))]
     return near + [lo - 0.5, hi + 0.5, -np.inf, np.inf]
 
@@ -331,6 +341,22 @@ def _in_support(fam, key, x) -> bool:
     return len(coords) == len(key) and all(fam.interval(j).contains(v) for j, v in zip(key, coords))
 
 
+def _scanned_keys(fam, x) -> list:
+    """The keys whose support holds x, in key order, by testing supports:
+    every key's on a level of at most 1,000 keys.  On a longer (dim-1)
+    level, only the indices from the first whose interval's hi reaches x to
+    the last whose lo does, found by bisection: both bounds are
+    nondecreasing in the index, so no interval outside that run holds x."""
+    if len(fam.index_keys) <= 1000:
+        return [k for k in _keys(fam) if _in_support(fam, k, x)]
+    (v,), (axis,) = np.ravel(x).tolist(), fam.index_keys.axes
+    if v != v:
+        return []  # nan fails every comparison, so no interval holds it
+    first = bisect.bisect_left(axis, v, key=lambda j: fam.interval(j).hi)
+    last = bisect.bisect_right(axis, v, key=lambda j: fam.interval(j).lo)
+    return [(j,) for j in axis[first:last] if fam.interval(j).contains(v)]
+
+
 def _bump_value(lo, n: int, key, x) -> float:
     """The bump value written out: a grid tent over a box from ``lo`` is
     1.0 times each axis's tent factor, in axis order; a Sorgenfrey tile
@@ -342,11 +368,25 @@ def _bump_value(lo, n: int, key, x) -> float:
     return value
 
 
-def _lookup_cases():
-    for dim, ns in ((1, (3, 7, 10, 49)), (2, (3, 7)), (3, (3,))):
-        scheme = grid_scheme(dim, box=(-1.0, 2.0), n_max=max(ns))
+# (box, dim, levels): dyadic and non-dyadic boxes, at levels to 2**32 in dim 1
+LOOKUP_GRIDS = (
+    ((-1.0, 2.0), 1, (3, 7, 10, 49)),
+    ((-1.0, 2.0), 2, (3, 7)),
+    ((-1.0, 2.0), 3, (3,)),
+    ((0.1, 1.1), 1, (3, 60, 3**7)),
+    ((0.1, 1.1), 2, (3, 7)),
+    ((-3.0, 2.0), 1, (7, 3**7, 2**32)),
+    ((-3.0, 2.0), 2, (3,)),
+)
+
+
+def _lookup_cases(grids=LOOKUP_GRIDS, tiles=(1, 3, 7, 10, 1024, 3**7, 2**32)):
+    """(scheme, level, points): grid nodes and their 1-ulp neighbours, faces
+    and points outside; Sorgenfrey tile edges and their 1-ulp neighbours."""
+    for box, dim, ns in grids:
+        scheme = grid_scheme(dim, box, n_max=max(ns))
         for n in ns:
-            coords = _edge_coords(-1.0, 2.0, n)
+            coords = _edge_coords(*box, n)
             if dim == 1:
                 points = coords
             else:
@@ -354,24 +394,32 @@ def _lookup_cases():
                 points = [np.array(p) for p in zip(*axes)]
                 points += [np.array([v] + [0.5] * (dim - 1)) for v in coords]
             yield scheme, n, [*points, float("nan"), np.full(dim, np.nan)]
-    scheme = sorgenfrey_scheme(n_max=1024, domain=(-0.5, 1.0))
-    for n in (1, 3, 7, 10, 1024):
-        edges = {*range(-n - 2, n + 3, 1 + n // 16), n // 2 - 1, n, n + 1, n + 2}  # sparse on the finest mesh
+    scheme = sorgenfrey_scheme(n_max=2**32, domain=(-0.5, 1.0))
+    for n in tiles:
+        # sparse on the finer meshes; the domain's ends lie at tiles -n/2 and n
+        edges = {*range(-n - 2, n + 3, 1 + n // 16), -(n // 2) - 1, -(n // 2), -(n // 2) + 1, n // 2 - 1, n // 3, n, n + 1, n + 2}
         coords = [v for i in sorted(edges) for v in (np.nextafter(i / n, -np.inf), i / n, np.nextafter(i / n, np.inf))]
         yield scheme, n, [*coords, -5.0, 5.0, float("nan"), np.array([0.25])]
 
 
+# a tent over (0.1, 1.1) at level 2**32 scales its node's rounding by 2**32,
+# so its weights drift past WEIGHT_ATOL and a blend refuses them; the
+# lookup alone is still exact there
+FINE_NONDYADIC = (((0.1, 1.1), 1, (2**32,)),)
+
+
 def test_candidate_lookup_matches_the_full_scan():
-    # the index-arithmetic lookup against every key's support, and the
+    # the index-arithmetic lookup against the supports' own tests, and the
     # scheme's cell lookup against the disjointified cover of its support predicates
-    for scheme, n, points in _lookup_cases():
+    for scheme, n, points in itertools.chain(_lookup_cases(), _lookup_cases(FINE_NONDYADIC, ())):
         fam = scheme.family(n)
         cells = disjointify(fam.index_keys, fam.active_keys)
-        chain = disjointify([(k, partial(_in_support, fam, k)) for k in _keys(fam)])
+        small = len(fam.index_keys) <= 500  # the predicate cover costs O(#keys) per point
+        chain = disjointify([(k, partial(_in_support, fam, k)) for k in _keys(fam)]) if small else None
         for x in points:
-            assert fam.active_keys(x) == [k for k in _keys(fam) if _in_support(fam, k, x)]
-            if len(fam.index_keys) > 500:
-                continue  # the predicate cover costs O(#keys) per point
+            assert fam.active_keys(x) == _scanned_keys(fam, x), (n, x)
+            if not small:
+                continue
             try:
                 expected = chain.cell_of(x)
             except CoverError:
@@ -382,9 +430,9 @@ def test_candidate_lookup_matches_the_full_scan():
 
 
 def test_weights_at_is_the_tent_product_bit_for_bit():
-    for scheme, n, points in _lookup_cases():
+    for scheme, n, points in itertools.chain(_lookup_cases(), _lookup_cases(FINE_NONDYADIC, ())):
         fam = scheme.family(n)
-        lo = None if scheme.describe()["kind"] == "sorgenfrey" else -1.0
+        lo = scheme.describe()["box"][0] if scheme.describe()["kind"] == "grid" else None
         for x in points:
             weights = fam.weights_at(x)
             assert [k for k, _ in weights] == fam.active_keys(x)
@@ -392,8 +440,8 @@ def test_weights_at_is_the_tent_product_bit_for_bit():
 
 
 def test_a_blend_term_weighs_each_axis_hit_once(monkeypatch):
-    # a term tests at most 4 candidate intervals per axis, at most 2 of which
-    # hold the coordinate, and weighs each of those hits once
+    # a term tests at most 2 intervals per grid axis and 1 Sorgenfrey tile,
+    # the ones that can hold the coordinate, and weighs each hit once
     calls = {"contains": 0, "weight": 0}
     contains = SupportBox.contains
 
@@ -407,12 +455,15 @@ def test_a_blend_term_weighs_each_axis_hit_once(monkeypatch):
     for scheme, n, points in _lookup_cases():
         fam = scheme.family(n)
         dim = len(fam.index_keys.axes)
+        kind = scheme.describe()["kind"]
+        tests = 2 * dim if kind == "grid" else 1
 
-        def counted_weight(j, v, weight=fam.weight):
-            calls["weight"] += 1
-            return weight(j, v)
+        def counted_hits(v, hits=fam.hits):
+            pairs = hits(v)
+            calls["weight"] += len(pairs)
+            return pairs
 
-        monkeypatch.setattr(fam, "weight", counted_weight)
+        monkeypatch.setattr(fam, "hits", counted_hits)
         term = lambda_blend(f, scheme, affine_line(), n)
         for x in points:
             calls.update(contains=0, weight=0)
@@ -420,8 +471,7 @@ def test_a_blend_term_weighs_each_axis_hit_once(monkeypatch):
                 term(x, 0.25)
             except PartitionViolationError:
                 pass
-            assert calls["contains"] <= 4 * dim and calls["weight"] <= 2 * dim, (n, x, calls)
-            kind = scheme.describe()["kind"]
+            assert calls["contains"] <= tests and calls["weight"] <= tests, (n, x, calls)
             most[kind, dim] = max(most.get((kind, dim), 0), calls["weight"])
     # inside a grid every axis has two hits, so the bound is reached
     assert most == {("grid", 1): 2, ("grid", 2): 4, ("grid", 3): 6, ("sorgenfrey", 1): 1}
