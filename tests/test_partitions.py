@@ -343,11 +343,11 @@ def _in_support(fam, key, x) -> bool:
 
 def _scanned_keys(fam, x) -> list:
     """The keys whose support holds x, in key order, by testing supports:
-    every key's on a level of at most 1,000 keys.  On a longer (dim-1)
+    every key's on a level of at most 2,000 keys.  On a longer (dim-1)
     level, only the indices from the first whose interval's hi reaches x to
     the last whose lo does, found by bisection: both bounds are
     nondecreasing in the index, so no interval outside that run holds x."""
-    if len(fam.index_keys) <= 1000:
+    if len(fam.index_keys) <= 2000:
         return [k for k in _keys(fam) if _in_support(fam, k, x)]
     (v,), (axis,) = np.ravel(x).tolist(), fam.index_keys.axes
     if v != v:
@@ -373,17 +373,17 @@ LOOKUP_GRIDS = (
     ((-1.0, 2.0), 1, (3, 7, 10, 49)),
     ((-1.0, 2.0), 2, (3, 7)),
     ((-1.0, 2.0), 3, (3,)),
-    ((0.1, 1.1), 1, (3, 60, 3**7)),
+    ((0.1, 1.1), 1, (3, 60, 3**7, 2**32)),
     ((0.1, 1.1), 2, (3, 7)),
     ((-3.0, 2.0), 1, (7, 3**7, 2**32)),
     ((-3.0, 2.0), 2, (3,)),
 )
 
 
-def _lookup_cases(grids=LOOKUP_GRIDS, tiles=(1, 3, 7, 10, 1024, 3**7, 2**32)):
+def _lookup_cases():
     """(scheme, level, points): grid nodes and their 1-ulp neighbours, faces
     and points outside; Sorgenfrey tile edges and their 1-ulp neighbours."""
-    for box, dim, ns in grids:
+    for box, dim, ns in LOOKUP_GRIDS:
         scheme = grid_scheme(dim, box, n_max=max(ns))
         for n in ns:
             coords = _edge_coords(*box, n)
@@ -395,23 +395,17 @@ def _lookup_cases(grids=LOOKUP_GRIDS, tiles=(1, 3, 7, 10, 1024, 3**7, 2**32)):
                 points += [np.array([v] + [0.5] * (dim - 1)) for v in coords]
             yield scheme, n, [*points, float("nan"), np.full(dim, np.nan)]
     scheme = sorgenfrey_scheme(n_max=2**32, domain=(-0.5, 1.0))
-    for n in tiles:
-        # sparse on the finer meshes; the domain's ends lie at tiles -n/2 and n
+    for n in (1, 3, 7, 10, 1024, 3**7, 2**32):
+        # sparse on the finer meshes; the domain (-0.5, 1.0) ends at the edges -(n // 2)/n and n/n
         edges = {*range(-n - 2, n + 3, 1 + n // 16), -(n // 2) - 1, -(n // 2), -(n // 2) + 1, n // 2 - 1, n // 3, n, n + 1, n + 2}
         coords = [v for i in sorted(edges) for v in (np.nextafter(i / n, -np.inf), i / n, np.nextafter(i / n, np.inf))]
         yield scheme, n, [*coords, -5.0, 5.0, float("nan"), np.array([0.25])]
 
 
-# a tent over (0.1, 1.1) at level 2**32 scales its node's rounding by 2**32,
-# so its weights drift past WEIGHT_ATOL and a blend refuses them; the
-# lookup alone is still exact there
-FINE_NONDYADIC = (((0.1, 1.1), 1, (2**32,)),)
-
-
 def test_candidate_lookup_matches_the_full_scan():
     # the index-arithmetic lookup against the supports' own tests, and the
     # scheme's cell lookup against the disjointified cover of its support predicates
-    for scheme, n, points in itertools.chain(_lookup_cases(), _lookup_cases(FINE_NONDYADIC, ())):
+    for scheme, n, points in _lookup_cases():
         fam = scheme.family(n)
         cells = disjointify(fam.index_keys, fam.active_keys)
         small = len(fam.index_keys) <= 500  # the predicate cover costs O(#keys) per point
@@ -430,7 +424,7 @@ def test_candidate_lookup_matches_the_full_scan():
 
 
 def test_weights_at_is_the_tent_product_bit_for_bit():
-    for scheme, n, points in itertools.chain(_lookup_cases(), _lookup_cases(FINE_NONDYADIC, ())):
+    for scheme, n, points in _lookup_cases():
         fam = scheme.family(n)
         lo = scheme.describe()["box"][0] if scheme.describe()["kind"] == "grid" else None
         for x in points:
