@@ -47,7 +47,7 @@ class Level:
         if describe["kind"] == "grid":
             lo, hi = describe["box"]
             count = round(hi - lo) * n
-            node = lambda j: lo + j / n  # noqa: E731
+            node = lambda j: lo + j / n
             self.axes = (range(count + 1),) * describe["dim"]
             self.support = lambda j: (node(max(j - 1, 0)), node(min(j + 1, count)), True, j + 1 >= count)
             self.weight = lambda j, v: max(0.0, 1.0 - n * abs(v - node(j)))

@@ -272,7 +272,7 @@ PROBE_ERRORS = [
 
 @pytest.mark.parametrize(("scenario", "probe", "message"), PROBE_ERRORS)
 def test_each_per_probe_error_has_its_exact_text(scenario, probe, message):
-    # these messages are formatted only when their check fails
+    # the whole text of each per-probe error, now formatted only on failure
     data = {**scenario, "probes": [probe]} if scenario else _minimal_dict(probes=[{"x": 0.25, "y": 0.5}, probe])
     with pytest.raises(ConfigError) as info:
         Scenario.from_dict(data)
